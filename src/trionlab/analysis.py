@@ -10,7 +10,7 @@ from scipy.optimize import curve_fit
 
 from . import tightbinding as tb
 from .assembly import assemble_kinetic, assemble_overlap, assemble_potential
-from .basis import preset_basis, scale_exponents
+from .basis import AngularSet, BasisSpec, preset_basis, scale_exponents
 from .hartree_fock import hf_binding_energy, scf
 from .quadrature import DEFAULT_QUAD
 from .solver import (TrionResult, exciton_ground, exciton_spectrum,
@@ -33,20 +33,9 @@ class ProbabilityGrid:
 
 def _angular_moment(coeffs, basis):
     """M[l, l'] = sum over axial indices of S_axial c c'."""
-    ax = basis.axial
-    ai = np.asarray(ax.alphas_i, float)
-    aj = np.asarray(ax.alphas_j, float)
-    ak = np.asarray(ax.alphas_k, float)
-    L = basis.angular.size
-    c = coeffs.reshape(len(ai), len(aj), len(ak), L)
-    A = ai[:, None] + ai[None, :]
-    B = aj[:, None] + aj[None, :]
-    C = ak[:, None] + ak[None, :]
-    D = (A[:, :, None, None, None, None] * B[None, None, :, :, None, None]
-         + A[:, :, None, None, None, None] * C[None, None, None, None, :, :]
-         + B[None, None, :, :, None, None] * C[None, None, None, None, :, :])
-    ST = np.pi / np.sqrt(D)
-    return np.einsum("iIjJkK,ijkl,IJKm->lm", ST, c, c)
+    S_ax = assemble_overlap(BasisSpec(basis.axial, AngularSet.CONSTANT, "1d"))
+    cm = coeffs.reshape(len(S_ax), basis.angular.size)
+    return cm.T @ S_ax @ cm
 
 
 def trion_probability(spectrum, basis, grid_size=201, r=None):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import angular
 from .basis import (ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, ANGULAR_OVERLAP,
-                    AngularSet, BasisSpec)
+                    AngularSet, axial_kernels)
 from .quadrature import DEFAULT_QUAD, outer_rule
 
 SQPI = np.sqrt(np.pi)
@@ -52,28 +52,29 @@ def _axial_arrays(basis):
     return ai, aj, ak
 
 
-def _pair_tensors(ai, aj, ak):
-    """Pairwise exponent sums broadcast to (i,i',j,j',k,k')."""
-    A = (ai[:, None] + ai[None, :])[:, :, None, None, None, None]
-    B = (aj[:, None] + aj[None, :])[None, None, :, :, None, None]
-    C = (ak[:, None] + ak[None, :])[None, None, None, None, :, :]
-    return A, B, C
+def _axial_tensors(basis):
+    """Exponents broadcast to the axes (i, i', j, j', k, k'), in that order."""
+    ai, aj, ak = _axial_arrays(basis)
+    out = []
+    for axis, v in enumerate((ai, ai, aj, aj, ak, ak)):
+        shape = [1] * 6
+        shape[axis] = len(v)
+        out.append(v.reshape(shape))
+    return out
 
 
-def _flatten(T, n1, n2, n3, L):
+def _flatten(T):
     """(i,i',j,j',k,k',l,l') tensor -> (N, N) matrix, row index (i,j,k,l)."""
+    N = int(np.prod(T.shape[::2]))
     M = T.transpose(0, 2, 4, 6, 1, 3, 5, 7)
-    return np.ascontiguousarray(M.reshape(n1 * n2 * n3 * L, n1 * n2 * n3 * L))
+    return np.ascontiguousarray(M.reshape(N, N))
 
 
 def assemble_overlap(basis):
     """Full overlap matrix S (axial Gaussian overlap x angular table)."""
-    ai, aj, ak = _axial_arrays(basis)
-    A, B, C = _pair_tensors(ai, aj, ak)
-    D = A * B + A * C + B * C
+    ST, _, _, _ = axial_kernels(*_axial_tensors(basis))
     L = basis.angular.size
-    ST = (np.pi / np.sqrt(D))[..., None, None] * ANGULAR_OVERLAP[:L, :L]
-    return _flatten(ST, len(ai), len(aj), len(ak), L)
+    return _flatten(ST[..., None, None] * ANGULAR_OVERLAP[:L, :L])
 
 
 def assemble_kinetic(basis, sigma, r, charge="-"):
@@ -82,31 +83,18 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
     if r <= 0:
         raise ValueError("radius must be positive")
     w = mixing_weight(sigma, charge)
-    ai, aj, ak = _axial_arrays(basis)
-    A, B, C = _pair_tensors(ai, aj, ak)
-    D = A * B + A * C + B * C
-    ST = np.pi / np.sqrt(D)
-    D32 = D ** 1.5
-
-    def bc(v, axis):
-        shape = [1] * 6
-        shape[axis] = len(v)
-        return v.reshape(shape)
-
-    ai0, ai1 = bc(ai, 0), bc(ai, 1)
-    aj0, aj1 = bc(aj, 2), bc(aj, 3)
-    ak0, ak1 = bc(ak, 4), bc(ak, 5)
-    KT1 = 2.0 * np.pi * (ai0 * ai1 * (B + C) + (ai0 * ak1 + ai1 * ak0) * B
-                         + ak0 * ak1 * (A + B)) / D32
-    KT2 = 2.0 * np.pi * (aj0 * aj1 * (A + C) + (aj0 * ak1 + aj1 * ak0) * A
-                         + ak0 * ak1 * (A + B)) / D32
-    KTM = -2.0 * np.pi * (ak0 * ak1 * (A + B) + ai0 * aj0 * ak1
-                          + ai1 * aj1 * ak0) / D32
+    ST, KT1, KT2, KTM = axial_kernels(*_axial_tensors(basis))
     L = basis.angular.size
     ang = (ANGULAR_KINETIC + w * ANGULAR_KINETIC_MIXED)[:L, :L] / r ** 2
     K = ST[..., None, None] * ang \
         + (KT1 + KT2 + w * KTM)[..., None, None] * ANGULAR_OVERLAP[:L, :L]
-    return _flatten(K, len(ai), len(aj), len(ak), L)
+    return _flatten(K)
+
+
+# Third-axis pair sums per pass of `assemble_potential`: the presets have
+# at most 15 and run in one pass; larger bases (11 or more k exponents)
+# are split so the kernel temporaries stay bounded.
+_CHUNK = 64
 
 
 def _unique_pairs(al):
@@ -120,7 +108,7 @@ def _unique_pairs(al):
     return sums, back
 
 
-def assemble_potential(basis, r, quad=DEFAULT_QUAD, chunk=64):
+def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     """Full Coulomb matrix U: two attraction channels plus repulsion.
 
     Elements depend on the exponents only through the three pair sums,
@@ -142,8 +130,8 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD, chunk=64):
     Bp = Bu[None, :, None]
     norm = 1.0 / (4.0 * np.pi ** 2)
     Uu = np.zeros((p1, p2, p3, L, L))
-    for c0 in range(0, p3, chunk):
-        Cs = Cu[None, None, c0:c0 + chunk]
+    for c0 in range(0, p3, _CHUNK):
+        Cs = Cu[None, None, c0:c0 + _CHUNK]
         sl = slice(c0, c0 + Cs.shape[2])
         D = Ap * Bp + (Ap + Bp) * Cs
         for channel, E, sgn in ((0, Bp + Cs, -1.0), (1, Ap + Cs, -1.0),
@@ -158,34 +146,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD, chunk=64):
                         Uu[:, :, sl, lp, l] += pref * J
     U = Uu[np.ix_(ia.ravel(), ib.ravel(), ic.ravel())]
     U = U.reshape(n1, n1, n2, n2, n3, n3, L, L)
-    return _flatten(U, n1, n2, n3, L)
-
-
-def potential_element(kind, idx, idxp, basis, r, quad=DEFAULT_QUAD):
-    """Single Coulomb matrix element; index tuples are (i, j, k, l) with
-    0-based axial indices and 0-based angular labels."""
-    ai, aj, ak = _axial_arrays(basis)
-    i, j, k, l = idx
-    ip, jp, kp, lp = idxp
-    A = ai[i] + ai[ip]
-    B = aj[j] + aj[jp]
-    C = ak[k] + ak[kp]
-    D = A * B + A * C + B * C
-    _, wts, sinh2 = outer_rule(quad)
-    norm = 1.0 / (4.0 * np.pi ** 2)
-    if kind == "attraction":
-        out = 0.0
-        for channel, E in ((0, B + C), (1, A + C)):
-            q = (4.0 * r * r * D / E) * sinh2
-            J = angular.pair_weight(channel, l, lp, q) @ wts
-            out -= norm * (4.0 / SQPI) * np.pi / np.sqrt(E) * J
-        return out
-    if kind == "repulsion":
-        E = A + B
-        q = (4.0 * r * r * D / E) * sinh2
-        J = angular.pair_weight(2, l, lp, q) @ wts
-        return norm * (4.0 / SQPI) * np.pi / np.sqrt(E) * J
-    raise ValueError(f"unknown element kind {kind!r}")
+    return _flatten(U)
 
 
 def assemble_trion(basis, r, sigma, charge="-", quad=DEFAULT_QUAD):
@@ -196,8 +157,6 @@ def assemble_trion(basis, r, sigma, charge="-", quad=DEFAULT_QUAD):
 
 
 # --- single-particle (electron-hole pair) problem ---------------------------
-_EX_OVERLAP = np.array([[1.0, 2.0 / np.pi], [2.0 / np.pi, 0.5]])
-_EX_KINETIC = np.array([[0.0, 0.0], [0.0, 0.125]])
 _EX_PROFILES = {(0, 0): angular.flat_weight, (0, 1): angular.sin_weight,
                 (1, 1): angular.sin2_weight}
 
@@ -215,9 +174,9 @@ def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     A = al[:, None] + al[None, :]
     s_ax = np.sqrt(np.pi / A)
     k_ax = 2.0 * al[:, None] * al[None, :] * SQPI / A ** 1.5
-    S = np.kron(s_ax, _EX_OVERLAP[:L, :L])
-    K = np.kron(k_ax, _EX_OVERLAP[:L, :L]) \
-        + np.kron(s_ax, _EX_KINETIC[:L, :L]) / r ** 2
+    S = np.kron(s_ax, ANGULAR_OVERLAP[:L, :L])
+    K = np.kron(k_ax, ANGULAR_OVERLAP[:L, :L]) \
+        + np.kron(s_ax, ANGULAR_KINETIC[:L, :L]) / r ** 2
     _, wts, sinh2 = outer_rule(quad)
     q = (4.0 * r * r * A)[..., None] * sinh2
     n = len(al)

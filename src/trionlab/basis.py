@@ -72,21 +72,28 @@ def coulomb_potential(x, theta, r):
 def axial_kernels(ai, aip, aj, ajp, ak, akp):
     """Closed-form axial overlap/kinetic kernels for one exponent tuple.
 
-    Returns (S, K, KM): the Gaussian overlap, the kinetic form for the
-    first separation coordinate, and the mixed-derivative kinetic form.
-    With A = ai+aip, B = aj+ajp, C = ak+akp and D = AB+AC+BC:
+    Returns (S, K1, K2, KM): the Gaussian overlap, the kinetic forms for
+    the first and the second separation coordinate, and the mixed-
+    derivative kinetic form.  With A = ai+aip, B = aj+ajp, C = ak+akp and
+    D = AB+AC+BC:
         S  = pi / sqrt(D)
-        K  = 2 pi [ai aip (B+C) + (ai akp + aip ak) B + ak akp (A+B)] / D^1.5
+        K1 = 2 pi [ai aip (B+C) + (ai akp + aip ak) B + ak akp (A+B)] / D^1.5
+        K2 = K1 with (ai, aip, B) replaced by (aj, ajp, A)
         KM = -2 pi [ak akp (A+B) + ai aj akp + aip ajp ak] / D^1.5
+    Both kinetic forms share D: recomputing it with i and j swapped
+    (BA+BC+AC) rounds differently in the last bit.
     """
     A, B, C = ai + aip, aj + ajp, ak + akp
     D = A * B + A * C + B * C
-    S = np.pi / np.sqrt(D)
-    K = 2.0 * np.pi * (ai * aip * (B + C) + (ai * akp + aip * ak) * B
-                       + ak * akp * (A + B)) / D ** 1.5
+    D32 = D ** 1.5
+
+    def kinetic(a, ap, other):
+        return 2.0 * np.pi * (a * ap * (other + C) + (a * akp + ap * ak)
+                              * other + ak * akp * (A + B)) / D32
+
     KM = -2.0 * np.pi * (ak * akp * (A + B) + ai * aj * akp
-                         + aip * ajp * ak) / D ** 1.5
-    return S, K, KM
+                         + aip * ajp * ak) / D32
+    return np.pi / np.sqrt(D), kinetic(ai, aip, B), kinetic(aj, ajp, A), KM
 
 
 # Normalized two-particle angular tables (labels 1..4 as in AngularSet.FULL4;

@@ -2,13 +2,23 @@
 import hashlib
 import json
 import os
+import pathlib
 import sys
 
 
+def source_digest():
+    """sha256 over the package's own *.py sources (names and bytes)."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def config_key(config):
-    """Stable hash of a JSON-serializable config mapping."""
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    """Stable hash of a JSON-serializable config mapping and of the source
+    digest, so that results of older numerics are never read back."""
+    blob = json.dumps({"config": config, "source": source_digest()},
+                      sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -11,7 +11,7 @@ from .basis import preset_basis
 from .cache import ResultCache, config_key
 from .hartree_fock import hf_binding_energy
 from .optimizer import optimize
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .solver import binding_energy, exciton_ground, trion_spectrum
 from .units import Environment, to_physical_energy
 
@@ -69,14 +69,7 @@ def _tb_params(args):
 
 
 def _quad(args):
-    kwargs = {}
-    if args.rel_tol is not None:
-        kwargs["rel_tol"] = args.rel_tol
-    if args.angular_order is not None:
-        kwargs["angular_order"] = args.angular_order
-    if args.outer_order is not None:
-        kwargs["outer_order"] = args.outer_order
-    return QuadratureSpec(**kwargs)
+    return QuadratureSpec(outer_order=args.outer_order)
 
 
 def _context(args):
@@ -231,16 +224,7 @@ def build_parser():
         prog="trionlab",
         description="Exciton and trion binding energies of carbon nanotubes")
     parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = {}
-
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            p = subparsers.add_parser(name, **kwargs)
-            parser.command_parsers[name] = p
-            return p
-
-    sub = _Sub()
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, chirality=False):
         p.add_argument("--config", help="key = value config file")
@@ -249,9 +233,8 @@ def build_parser():
         p.add_argument("--cache-dir", help="cache directory "
                        "(default $TRIONLAB_CACHE)")
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--rel-tol", type=float)
-        p.add_argument("--angular-order", type=int)
-        p.add_argument("--outer-order", type=int)
+        p.add_argument("--outer-order", type=int,
+                       default=DEFAULT_QUAD.outer_order)
         p.add_argument("--t", type=float, default=-2.89)
         p.add_argument("--s", type=float, default=0.1)
         p.add_argument("--a", type=float, default=2.46)
@@ -327,7 +310,7 @@ def build_parser():
     p.add_argument("--rmax", type=float, default=15.0)
     p.add_argument("--epsilon", type=float, default=3.5)
 
-    return parser
+    return parser, sub.choices
 
 
 def _coerce(text):
@@ -341,8 +324,10 @@ def _coerce(text):
     return text
 
 
-def load_config_file(path, parser, argv, command):
-    """Apply key = value lines as defaults (flags still override)."""
+def load_config_file(path, command_parser, args):
+    """Apply key = value lines as defaults of the active subcommand parser
+    (flags still override).  Keys must name options of that subcommand,
+    as found in `args`, the parse made without the file."""
     overrides = {}
     with open(path) as fh:
         for line in fh:
@@ -353,19 +338,26 @@ def load_config_file(path, parser, argv, command):
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             overrides[key.replace("-", "_")] = _coerce(value)
-    # defaults live on the active subcommand parser, not the root
-    parser.command_parsers[command].set_defaults(**overrides)
-    return parser.parse_args(argv)
+    allowed = set(vars(args)) - {"command", "config"}
+    unknown = sorted(set(overrides) - allowed)
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {args.command}: "
+                         + ", ".join(unknown))
+    command_parser.set_defaults(**overrides)
 
 
 def run(argv, stdout=None):
     stdout = stdout or sys.stdout
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        args = load_config_file(args.config, parser, argv, args.command)
+        load_config_file(args.config, commands[args.command], args)
+        args = parser.parse_args(argv)
+    # the cache key holds what the numbers depend on, not how they are
+    # written out (cache.config_key adds the package's source digest)
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("output", "cache_dir", "no_cache", "config")}
+              if k not in ("output", "cache_dir", "no_cache", "config",
+                           "format")}
     key = config_key(config)
     cache = ResultCache.from_environment(getattr(args, "cache_dir", None),
                                          getattr(args, "no_cache", False))

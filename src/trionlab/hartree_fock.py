@@ -12,7 +12,7 @@ import numpy as np
 from .assembly import assemble_exciton, repulsion_tensor
 from .basis import AngularSet, preset_basis, scale_exponents
 from .quadrature import DEFAULT_QUAD
-from .solver import DROP_TOL, TrionResult, exciton_ground, solve_generalized
+from .solver import TrionResult, exciton_ground, solve_generalized
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,8 @@ class HFState:
     history: tuple          # epsilon0 per iteration
 
 
-def hartree_matrix(orbital, V4):
-    """<a|V_H[chi]|b> by contracting the repulsion tensor with chi chi^T."""
-    rho = np.outer(orbital, orbital)
+def hartree_matrix(rho, V4):
+    """<a|V_H|b> of the density matrix rho (chi chi^T for one orbital chi)."""
     return np.einsum("abcd,cd->ab", V4, rho)
 
 
@@ -45,7 +44,7 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
     V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang, quad)
 
     def lowest(F):
-        spec = solve_generalized(F, S, DROP_TOL)
+        spec = solve_generalized(F, S)
         return float(spec.energies[0]), spec.coefficients[:, 0]
 
     eps0, chi = lowest(h)          # V_H = 0 start: exciton-like orbital
@@ -53,14 +52,14 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
     rho = np.outer(chi, chi)
     converged = False
     for _ in range(max_iter):
-        F = h + np.einsum("abcd,cd->ab", V4, rho)
+        F = h + hartree_matrix(rho, V4)
         eps0, chi = lowest(F)
         history.append(eps0)
         rho = mixing * np.outer(chi, chi) + (1.0 - mixing) * rho
         if abs(history[-1] - history[-2]) < tol:
             converged = True
             break
-    VH = hartree_matrix(chi, V4)
+    VH = hartree_matrix(np.outer(chi, chi), V4)
     e_total = 2.0 * history[-1] - chi @ VH @ chi
     return HFState(chi, history[-1], float(e_total), len(history) - 1,
                    converged, tuple(history))

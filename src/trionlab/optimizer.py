@@ -29,11 +29,7 @@ class OptimizationRun:
 
 
 def _build_basis(problem, model, groups):
-    if problem == "exciton":
-        (al,) = groups
-        ang = AngularSet.CONSTANT if model == "1d" else AngularSet.EXCITON_PAIR
-        return BasisSpec(AxialBasis(al, (1.0,), (1.0,)), ang, model)
-    if problem == "hf":
+    if problem in ("exciton", "hf"):
         (al,) = groups
         ang = AngularSet.CONSTANT if model == "1d" else AngularSet.EXCITON_PAIR
         return BasisSpec(AxialBasis(al, (1.0,), (1.0,)), ang, model)

@@ -8,7 +8,7 @@ composite Gauss-Legendre rule converges to machine precision.  The
 integrand decays like exp(-c sinh^2 u), so the default panel layout
 (dense near 0, geometric further out) is far inside round-off by u = 32.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -18,31 +18,25 @@ _DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    angular_order: int = 64
+    """Composite Gauss-Legendre rule for the outer Coulomb integral.
+
+    `outer_order` nodes on each panel between consecutive `outer_edges`
+    (in the sinh-mapped variable u).  These two fields are the only
+    quadrature controls: every other integral is in closed form or uses
+    a fixed rule (see `angular`).
+    """
     outer_order: int = 24
     outer_edges: tuple = _DEFAULT_EDGES
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.angular_order < 8 or self.outer_order < 8:
-            raise ValueError("quadrature orders must be >= 8")
-        if len(self.outer_edges) - 1 > self.max_subdivisions:
-            raise ValueError("outer panel count exceeds max_subdivisions")
+        if self.outer_order < 8:
+            raise ValueError("outer_order must be >= 8")
 
     def refined(self):
         """A strictly finer rule, for self-convergence checks."""
         edges = (0.0, 0.25) + tuple(e for e in self.outer_edges if e > 0) + (64.0,)
-        return QuadratureSpec(self.rel_tol, self.abs_tol, self.max_subdivisions,
-                              self.angular_order, self.outer_order + 8, edges)
-
-    def key(self):
-        """Stable identity tuple (feeds result-cache hashing)."""
-        return (self.rel_tol, self.abs_tol, self.max_subdivisions,
-                self.angular_order, self.outer_order, self.outer_edges)
+        return QuadratureSpec(outer_order=self.outer_order + 8,
+                              outer_edges=edges)
 
 
 DEFAULT_QUAD = QuadratureSpec()

@@ -33,10 +33,10 @@ class TrionResult:
     r: float
 
 
-def solve_generalized(H, S, drop_tol=DROP_TOL):
+def solve_generalized(H, S):
     """Solve H c = E S c by canonical orthogonalization.
 
-    Overlap modes with eigenvalue below drop_tol * max are discarded to
+    Overlap modes with eigenvalue below DROP_TOL * max are discarded to
     tame near-linear-dependence; eigenvectors are back-transformed and
     S-normalized.
     """
@@ -47,7 +47,7 @@ def solve_generalized(H, S, drop_tol=DROP_TOL):
     if not (np.allclose(H, H.T) and np.allclose(S, S.T)):
         raise ValueError("H and S must be symmetric")
     evals, evecs = np.linalg.eigh(S)
-    keep = evals > drop_tol * evals.max()
+    keep = evals > DROP_TOL * evals.max()
     if not np.any(keep):
         raise ValueError("overlap matrix has no retained modes")
     X = evecs[:, keep] / np.sqrt(evals[keep])

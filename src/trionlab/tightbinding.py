@@ -178,11 +178,14 @@ def fermi_velocity(p=DEFAULT_PARAMS):
     return abs(refined) * EV_ANGSTROM_PER_HBAR
 
 
-def enumerate_species(r_min, r_max, p=DEFAULT_PARAMS, n_max=40):
+def enumerate_species(r_min, r_max, p=DEFAULT_PARAMS):
     """Semiconducting (n, m) with radius in [r_min, r_max] Angstrom.
 
     Canonical representatives n >= m >= 0; sorted by radius then (n, m).
     """
+    # n^2 + nm + m^2 >= n^2 bounds n by 2 pi r_max / a; the +1 absorbs
+    # rounding for a zigzag tube exactly at r_max
+    n_max = int(2.0 * np.pi * r_max / p.a) + 1
     out = []
     for n in range(1, n_max + 1):
         for m in range(0, n + 1):

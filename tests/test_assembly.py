@@ -7,7 +7,7 @@ from trionlab import AngularSet, AxialBasis, BasisSpec, preset_basis, \
     scale_exponents
 from trionlab.assembly import assemble_exciton, assemble_kinetic, \
     assemble_overlap, assemble_potential, assemble_trion, mixing_weight, \
-    potential_element, repulsion_tensor
+    repulsion_tensor
 from trionlab.quadrature import DEFAULT_QUAD
 
 SMALL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7), (0.09, 1.2)),
@@ -82,18 +82,6 @@ def test_potential_entries_against_brute_force():
         want = brute_trion_element(int(l), int(lp), A, B, C, r)
         got = U[_index(SMALL, i, j, k, l), _index(SMALL, ip, jp, kp, lp)]
         assert got == pytest.approx(want, rel=1e-6), (i, j, k, l, ip, jp, kp, lp)
-
-
-def test_potential_element_matches_assembled_matrix():
-    r = 0.2
-    U = assemble_potential(SMALL, r)
-    idx, idxp = (1, 0, 1, 3), (0, 1, 0, 2)
-    att = potential_element("attraction", idx, idxp, SMALL, r)
-    rep = potential_element("repulsion", idx, idxp, SMALL, r)
-    got = U[_index(SMALL, *idx), _index(SMALL, *idxp)]
-    assert att + rep == pytest.approx(got, rel=1e-12)
-    with pytest.raises(ValueError):
-        potential_element("exchange", idx, idxp, SMALL, r)
 
 
 def test_potential_self_convergence():

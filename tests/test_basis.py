@@ -52,7 +52,7 @@ def _axial_quad(f, exps, half=20.0, order=240):
                                   (3.0, 0.2, 1.1, 1.1, 0.05, 2.4)])
 def test_axial_kernels_against_quadrature(exps):
     ai, aip, aj, ajp, ak, akp = exps
-    S, K, KM = tb.axial_kernels(*exps)
+    S, K, K2, KM = tb.axial_kernels(*exps)
     sums = (ai + aip, aj + ajp, ak + akp)
     assert S == pytest.approx(_axial_quad(lambda x1, x2: 1.0, sums), rel=1e-10)
 
@@ -65,6 +65,12 @@ def test_axial_kernels_against_quadrature(exps):
 
     assert K == pytest.approx(_axial_quad(k_form, sums), rel=1e-10)
 
+    def k2_form(x1, x2):
+        return (-2.0 * aj * x2 + 2.0 * ak * (x1 - x2)) \
+            * (-2.0 * ajp * x2 + 2.0 * akp * (x1 - x2))
+
+    assert K2 == pytest.approx(_axial_quad(k2_form, sums), rel=1e-10)
+
     def km_form(x1, x2):
         return (-2.0 * ai * x1 - 2.0 * ak * (x1 - x2)) \
             * (-2.0 * ajp * x2 + 2.0 * akp * (x1 - x2))
@@ -74,7 +80,7 @@ def test_axial_kernels_against_quadrature(exps):
 
 
 def test_axial_kernels_unit_exponents():
-    S, K, KM = tb.axial_kernels(*([0.5] * 6))
+    S, K, K2, KM = tb.axial_kernels(*([0.5] * 6))
     # pair sums all 1 -> D = 3
     assert S == pytest.approx(np.pi / np.sqrt(3.0))
     assert KM == pytest.approx(-np.pi / np.sqrt(12.0))

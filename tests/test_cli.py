@@ -98,7 +98,32 @@ def test_cache_key_changes_with_quadrature(tmp_path):
     _run(["exciton", "--radius", "0.1", "--model", "1d",
           "--cache-dir", str(cache)])
     _run(["exciton", "--radius", "0.1", "--model", "1d",
-          "--cache-dir", str(cache), "--rel-tol", "1e-9"])
+          "--cache-dir", str(cache), "--outer-order", "32"])
+    assert len(os.listdir(cache)) == 2
+
+
+def test_cache_shared_across_formats(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["masses", "--chirality", "6,5", "--cache-dir", str(cache)]
+    _, csv_text = _run(argv + ["--format", "csv"])
+    _, json_text = _run(argv + ["--format", "json"])
+    assert len(os.listdir(cache)) == 1
+    lines = [line for line in csv_text.splitlines()
+             if not line.startswith("#")]
+    row = json.loads(json_text)["rows"][0]
+    assert lines[0].split(",") == list(row)
+    assert [float(v) for v in lines[1].split(",")] == \
+        pytest.approx([float(v) for v in row.values()], rel=1e-9)
+
+
+def test_cache_key_changes_with_source(tmp_path, monkeypatch):
+    from trionlab import cache as cache_module
+
+    cache = tmp_path / "cache"
+    argv = ["masses", "--chirality", "6,5", "--cache-dir", str(cache)]
+    _run(argv)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "older")
+    _run(argv)
     assert len(os.listdir(cache)) == 2
 
 
@@ -144,6 +169,18 @@ def test_config_file_bad_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("radius 0.15\n")
     assert main(["exciton", "--config", str(cfg), "--no-cache"]) == 1
+
+
+@pytest.mark.parametrize("line", ["rel_tl = 1e-3", "rel_tol = 1e-3",
+                                  "angular-order = 32", "charge = +",
+                                  "command = trion"])
+def test_config_file_unknown_key(tmp_path, capsys, line):
+    """Keys that are not options of the active subcommand (`charge`
+    belongs to `trion`, not `exciton`) are an error, not a silent no-op."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("radius = 0.1\n" + line + "\n")
+    assert main(["exciton", "--config", str(cfg), "--no-cache"]) == 1
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_bands_rows():

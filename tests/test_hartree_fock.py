@@ -13,14 +13,14 @@ SMALL = BasisSpec(AxialBasis((0.07, 0.9, 6.0, 40.0), (1.0,), (1.0,)),
 
 def test_hartree_matrix_zero_density():
     V4 = repulsion_tensor((0.4, 2.5), 0.13, 2)
-    assert np.allclose(hartree_matrix(np.zeros(4), V4), 0.0)
+    assert np.allclose(hartree_matrix(np.zeros((4, 4)), V4), 0.0)
 
 
 def test_hartree_matrix_is_symmetric_psd_diagonal():
     V4 = repulsion_tensor((0.4, 2.5), 0.13, 2)
     rng = np.random.default_rng(3)
     chi = rng.normal(size=4)
-    VH = hartree_matrix(chi, V4)
+    VH = hartree_matrix(np.outer(chi, chi), V4)
     assert np.allclose(VH, VH.T, atol=1e-12)
     # repulsion energy of any density with itself is positive
     assert chi @ VH @ chi > 0
@@ -32,7 +32,7 @@ def test_hartree_matrix_against_loop_contraction():
     V4 = repulsion_tensor((0.4, 2.5), 0.13, 2)
     rng = np.random.default_rng(4)
     chi = rng.normal(size=4)
-    VH = hartree_matrix(chi, V4)
+    VH = hartree_matrix(np.outer(chi, chi), V4)
     want = np.zeros((4, 4))
     for a in range(4):
         for b in range(4):
@@ -80,7 +80,7 @@ def test_scf_energy_consistency():
     basis = scale_exponents(preset_basis("hf2d"), r)
     V4 = repulsion_tensor(basis.axial.alphas_i, r, 2)
     chi = state.orbital_coeffs
-    VH = hartree_matrix(chi, V4)
+    VH = hartree_matrix(np.outer(chi, chi), V4)
     assert state.E_T_HF == pytest.approx(
         2.0 * state.epsilon0 - chi @ VH @ chi, rel=1e-9)
 

@@ -101,21 +101,24 @@ def test_gap_matches_subband_scan():
     assert em.gap == pytest.approx(best, rel=1e-6)
 
 
-def test_enumerate_species_against_double_loop():
+@pytest.mark.parametrize("r_min, r_max, count",
+                         [(3.0, 15.0, 294), (15.0, 20.0, 234)])
+def test_enumerate_species_against_double_loop(r_min, r_max, count):
     """Independent re-derivation: every (n >= m >= 0) pair with
-    semiconducting character and radius in range, sorted by radius."""
+    semiconducting character and radius in range, sorted by radius.
+    n <= 60 covers every tube up to the zigzag (60, 0) at 23.5 A."""
     want = []
     for n in range(1, 61):
         for m in range(0, n + 1):
             if (n - m) % 3 == 0:
                 continue
             r = 2.46 * np.sqrt(n * n + n * m + m * m) / (2.0 * np.pi)
-            if 3.0 <= r <= 15.0:
+            if r_min <= r <= r_max:
                 want.append((r, n, m))
     want.sort()
-    got = enumerate_species(3.0, 15.0)
+    got = enumerate_species(r_min, r_max)
     assert [(c.n, c.m) for c in got] == [(n, m) for _, n, m in want]
-    assert len(got) == 294
+    assert len(got) == count
 
 
 def test_fermi_velocity_scales_with_hopping():
