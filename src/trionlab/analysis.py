@@ -6,15 +6,14 @@ CSV/JSON serialization lives in the CLI.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import tightbinding as tb
-from .assembly import assemble_kinetic, assemble_overlap, assemble_potential
-from .basis import AngularSet, BasisSpec, preset_basis, scale_exponents
+from .assembly import assemble_overlap
+from .basis import (AngularSet, BasisSpec, pair_kernels, preset_basis,
+                    scale_exponents)
 from .hartree_fock import hf_binding_energy, scf
 from .quadrature import DEFAULT_QUAD
-from .solver import (TrionResult, exciton_ground, exciton_spectrum,
-                     solve_generalized, trion_spectrum)
+from .solver import binding_energy
 from .units import (Environment, dimensionless_radius, effective_units,
                     to_physical_energy)
 
@@ -60,11 +59,9 @@ def exciton_probability(spectrum, basis, grid_size=201, method="full",
     """Angular density P(theta) of a single-particle state, integral 1."""
     c = np.asarray(spectrum if isinstance(spectrum, np.ndarray)
                    else spectrum.coefficients[:, 0], float)
-    al = np.asarray(basis.axial.alphas_i, float)
+    Sax, _ = pair_kernels(basis.axial.alphas_i)
     L = min(basis.angular.size, 2)
-    cm = c.reshape(len(al), L)
-    A = al[:, None] + al[None, :]
-    Sax = np.sqrt(np.pi / A)
+    cm = c.reshape(len(Sax), L)
     M = np.einsum("iI,il,Im->lm", Sax, cm, cm)
     th = np.linspace(-np.pi, np.pi, grid_size)
     phis = [np.ones_like(th), np.abs(np.sin(th / 2.0))][:L]
@@ -107,6 +104,8 @@ class PowerLawFit:
 
 def fit_power_law(x, y):
     """Least-squares fit y = A x^p + C, initialized from a log-log slope."""
+    from scipy.optimize import curve_fit   # off the CLI import path
+
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     slope, logA = np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)
@@ -119,20 +118,10 @@ def fit_power_law(x, y):
 
 # --- sweeps -----------------------------------------------------------------
 def binding_both_charges(r, sigma, model="2d", quad=DEFAULT_QUAD):
-    """E_B for S- and S+ sharing one overlap/potential assembly."""
-    basis = scale_exponents(preset_basis("trion" + model), r)
-    S = assemble_overlap(basis)
-    U = assemble_potential(basis, r, quad)
-    e_x = exciton_ground(r, model, None, quad)
-    out = {}
-    for charge in ("-", "+"):
-        if charge == "+" and sigma == 0:
-            continue
-        K = assemble_kinetic(basis, sigma, r, charge)
-        spec = solve_generalized(K + U, S)
-        e_t = float(spec.energies[0])
-        out[charge] = TrionResult(e_t, e_x, e_x - e_t, model, sigma, charge, r)
-    return out
+    """E_B of S- and S+ (S- alone at sigma = 0) in the preset bases."""
+    charges = ("-",) if sigma == 0 else ("-", "+")
+    return {charge: binding_energy(r, sigma, charge, model, quad=quad)
+            for charge in charges}
 
 
 def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import angular
 from .basis import (ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, ANGULAR_OVERLAP,
-                    AngularSet, axial_kernels)
+                    AngularSet, axial_kernels, check_inputs, pair_kernels)
 from .quadrature import DEFAULT_QUAD, outer_rule
 
 SQPI = np.sqrt(np.pi)
@@ -33,8 +33,7 @@ def mixing_weight(sigma, charge):
 
     charge '+' applies sigma -> 1/sigma, giving 2/(1+sigma).
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    check_inputs(sigma=sigma)
     if charge == "-":
         return 2.0 * sigma / (1.0 + sigma)
     if charge == "+":
@@ -80,8 +79,7 @@ def assemble_overlap(basis):
 def assemble_kinetic(basis, sigma, r, charge="-"):
     """Full kinetic matrix, including the 1/r^2 angular factor and the
     mass-fraction-weighted mixed terms."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_inputs(r)
     w = mixing_weight(sigma, charge)
     ST, KT1, KT2, KTM = axial_kernels(*_axial_tensors(basis))
     L = basis.angular.size
@@ -116,8 +114,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     scattered to the full matrix.  Chunking over the third pair axis
     bounds memory for large bases.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_inputs(r)
     ai, aj, ak = _axial_arrays(basis)
     n1, n2, n3 = len(ai), len(aj), len(ak)
     L = basis.angular.size
@@ -167,13 +164,11 @@ def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     Basis: Gaussians (from alphas_i) x angular {1, |sin(theta/2)|}
     (constant set only for the 1D model).
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_inputs(r)
     al = np.asarray(basis.axial.alphas_i, float)
     L = 1 if basis.angular is AngularSet.CONSTANT else 2
     A = al[:, None] + al[None, :]
-    s_ax = np.sqrt(np.pi / A)
-    k_ax = 2.0 * al[:, None] * al[None, :] * SQPI / A ** 1.5
+    s_ax, k_ax = pair_kernels(al)
     S = np.kron(s_ax, ANGULAR_OVERLAP[:L, :L])
     K = np.kron(k_ax, ANGULAR_OVERLAP[:L, :L]) \
         + np.kron(s_ax, ANGULAR_KINETIC[:L, :L]) / r ** 2
@@ -198,6 +193,7 @@ def repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
     Orbitals a, b live on particle 1 and c, d on particle 2; returned
     with composite indices [(a,la), (b,lb), (c,lc), (d,ld)].
     """
+    check_inputs(r)
     al = np.asarray(alphas, float)
     n = len(al)
     Q = al[:, None] + al[None, :]

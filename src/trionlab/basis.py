@@ -57,10 +57,19 @@ class BasisSpec:
             * self.angular.size
 
 
+def check_inputs(r=None, sigma=None):
+    """Raise ValueError naming the argument unless the radius r is finite
+    and positive and the mass ratio sigma is finite and >= 0 (either may
+    be left out)."""
+    if r is not None and not (np.isfinite(r) and r > 0):
+        raise ValueError(f"radius r must be finite and positive, got {r}")
+    if sigma is not None and not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+
+
 def coulomb_potential(x, theta, r):
     """Cylinder Coulomb potential 2/sqrt(x^2 + 4 r^2 sin^2(theta/2))."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_inputs(r)
     x = np.asarray(x, float)
     theta = np.asarray(theta, float)
     d2 = x * x + 4.0 * r * r * np.sin(theta / 2.0) ** 2
@@ -94,6 +103,17 @@ def axial_kernels(ai, aip, aj, ajp, ak, akp):
     KM = -2.0 * np.pi * (ak * akp * (A + B) + ai * aj * akp
                          + aip * ajp * ak) / D32
     return np.pi / np.sqrt(D), kinetic(ai, aip, B), kinetic(aj, ajp, A), KM
+
+
+def pair_kernels(al):
+    """Closed-form overlap and kinetic kernels of the 1D Gaussians
+    exp(-a x^2) of one separation: with A = a + a',
+        S = sqrt(pi / A),  K = 2 a a' sqrt(pi) / A^1.5.
+    """
+    al = np.asarray(al, float)
+    A = al[:, None] + al[None, :]
+    return (np.sqrt(np.pi / A),
+            2.0 * al[:, None] * al[None, :] * np.sqrt(np.pi) / A ** 1.5)
 
 
 # Normalized two-particle angular tables (labels 1..4 as in AngularSet.FULL4;
@@ -156,8 +176,7 @@ def preset_basis(kind):
 
 def scale_exponents(basis, r):
     """Rescale every axial exponent by (r0/r)^2 for use at radius r."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    check_inputs(r)
     f = (basis.r0 / r) ** 2
     ax = basis.axial
     scaled = AxialBasis(tuple(a * f for a in ax.alphas_i),

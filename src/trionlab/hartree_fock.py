@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_exciton, repulsion_tensor
-from .basis import AngularSet, preset_basis, scale_exponents
+from .basis import AngularSet, scale_exponents
 from .quadrature import DEFAULT_QUAD
-from .solver import TrionResult, exciton_ground, solve_generalized
+from .solver import (TrionResult, check_bound, exciton_ground, preset_at,
+                     solve_generalized)
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,14 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
     if not 0 < mixing <= 1:
         raise ValueError("mixing must be in (0, 1]")
     if basis is None:
-        basis = preset_basis("hf" + model)
-    basis = scale_exponents(basis, r)
-    n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
-    t = assemble_exciton(basis, r, quad)
-    h, S = t.H, t.S
-    V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang, quad)
+        family, x = preset_at("hf" + model, r, quad)
+        h, S, V4 = family.hf_matrices(x)
+    else:
+        basis = scale_exponents(basis, r)
+        n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
+        t = assemble_exciton(basis, r, quad)
+        h, S = t.H, t.S
+        V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang, quad)
 
     def lowest(F):
         spec = solve_generalized(F, S)
@@ -61,6 +64,8 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
             break
     VH = hartree_matrix(np.outer(chi, chi), V4)
     e_total = 2.0 * history[-1] - chi @ VH @ chi
+    if basis is None:
+        check_bound(e_total, r)
     return HFState(chi, history[-1], float(e_total), len(history) - 1,
                    converged, tuple(history))
 

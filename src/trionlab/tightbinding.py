@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 EV_ANGSTROM_PER_HBAR = 1.602176634e-19 * 1e-10 / 1.054571817e-34  # m/s
 
@@ -118,6 +117,8 @@ def effective_masses(ch, p=DEFAULT_PARAMS, scan_points=2001, fd_step=1e-3):
     golden-section refinement), then extracts curvatures by Richardson-
     extrapolated central differences.
     """
+    from scipy.optimize import minimize_scalar   # off the CLI import path
+
     if not is_semiconducting(ch):
         raise ValueError(f"({ch.n},{ch.m}) is metallic")
     _, _, K1, K2h, N, Tlen = _fold(ch, p)

@@ -1,0 +1,226 @@
+"""Preset families against the general path, the radius identities they
+rest on, and the input and bound-state checks of every entry point."""
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import trionlab
+import trionlab.solver as solver
+from trionlab.analysis import (binding_both_charges, exciton_probability,
+                               hf_pair_probability, sweep_radius, sweep_sigma,
+                               trion_probability)
+from trionlab.assembly import (assemble_exciton, assemble_kinetic,
+                               assemble_overlap, assemble_potential,
+                               assemble_trion, mixing_weight,
+                               repulsion_tensor)
+from trionlab.basis import coulomb_potential, preset_basis, scale_exponents
+from trionlab.cli import main
+from trionlab.hartree_fock import hf_binding_energy, scf
+from trionlab.quadrature import QuadratureSpec
+from trionlab.solver import (binding_energy, exciton_energy, exciton_ground,
+                             exciton_spectrum, trion_energy, trion_spectrum)
+
+CONTRACT_TOL = 1e-10    # Ry*, fast path against the path it replaces
+POINTS = [(s, c) for s in (0.0, 0.93, 1 / 0.93) for c in ("-", "+")
+          if not (c == "+" and s == 0.0)]
+
+
+# --- the family against the general path ------------------------------------
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.084, 0.3])
+def test_family_matches_general_path(r, model):
+    """An explicit preset basis takes the general path (assembly at r)."""
+    trion = preset_basis("trion" + model)
+    for sigma, charge in POINTS:
+        fast = trion_energy(r, sigma, charge, model)
+        assert fast == pytest.approx(
+            trion_energy(r, sigma, charge, model, trion), abs=CONTRACT_TOL)
+    assert exciton_ground(r, model) == pytest.approx(
+        exciton_ground(r, model, preset_basis("exciton" + model)),
+        abs=CONTRACT_TOL)
+    hf = scf(r, model)
+    ref = scf(r, model, preset_basis("hf" + model))
+    assert hf.iterations == ref.iterations
+    assert hf.E_T_HF == pytest.approx(ref.E_T_HF, abs=CONTRACT_TOL)
+    rho, rho_ref = (np.outer(s.orbital_coeffs, s.orbital_coeffs)
+                    for s in (hf, ref))
+    assert np.abs(rho - rho_ref).max() < 1e-9 * np.abs(rho_ref).max()
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.3])
+def test_family_spectra_match_general_path(r, model):
+    """Back-transformed coefficients give the same scaled basis, ground
+    energy and angular densities as the general path."""
+    spec, basis = trion_spectrum(r, 0.93, "-", model)
+    ref, ref_basis = trion_spectrum(r, 0.93, "-", model,
+                                    preset_basis("trion" + model))
+    assert basis == ref_basis
+    assert spec.retained_dim == ref.retained_dim
+    assert spec.energies[0] == pytest.approx(ref.energies[0],
+                                             abs=CONTRACT_TOL)
+    P = trion_probability(spec, basis, 41).values
+    P_ref = trion_probability(ref, ref_basis, 41).values
+    assert np.abs(P - P_ref).max() < 1e-9 * P_ref.max()
+    spec, basis = exciton_spectrum(r, model)
+    ref, ref_basis = exciton_spectrum(r, model,
+                                      preset_basis("exciton" + model))
+    assert basis == ref_basis
+    assert np.allclose(exciton_probability(spec, basis, 41).values,
+                       exciton_probability(ref, ref_basis, 41).values,
+                       rtol=0, atol=1e-12)
+
+
+def test_sweep_assembles_each_preset_once(monkeypatch):
+    """A sweep over sigma assembles the trion potential once, at r0."""
+    quad = QuadratureSpec(outer_order=20)   # a family no other test built
+    calls = []
+
+    def counted(basis, r, q):
+        calls.append(r)
+        return assemble_potential(basis, r, q)
+    monkeypatch.setattr(solver, "assemble_potential", counted)
+    sweep_sigma(0.15, [0.0, 0.5, 1.0], "1d", quad)
+    sweep_sigma(0.25, [0.3], "1d", quad)
+    assert calls == [preset_basis("trion1d").r0]
+
+
+def test_nothing_assembled_or_scipy_linalg_loaded_at_import():
+    code = ("import sys, trionlab.cli, trionlab.solver as s; "
+            "assert s.preset_family.cache_info().currsize == 0; "
+            "assert 'scipy.optimize' not in sys.modules; "
+            "assert 'scipy.linalg' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(trionlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
+
+
+# --- the identities the family rests on --------------------------------------
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@settings(max_examples=4, deadline=None)
+@given(r=st.floats(0.02, 0.3), sigma=st.floats(0.0, 2.0),
+       model=st.sampled_from(["1d", "2d"]))
+def test_trion_matrices_scale_with_radius(r, sigma, model):
+    """S(r) = x^2 S0, K(r) = K0 and U(r) = x U0 with x = r/r0."""
+    b0 = preset_basis("trion" + model)
+    x = r / b0.r0
+    b = scale_exponents(b0, r)
+    assert _rel(assemble_overlap(b), x ** 2 * assemble_overlap(b0)) < 1e-12
+    assert _rel(assemble_kinetic(b, sigma, r),
+                assemble_kinetic(b0, sigma, b0.r0)) < 1e-12
+    assert _rel(assemble_potential(b, r),
+                x * assemble_potential(b0, b0.r0)) < 1e-12
+
+
+@settings(max_examples=4, deadline=None)
+@given(r=st.floats(0.02, 0.3), kind=st.sampled_from(
+    ["exciton1d", "exciton2d", "hf1d", "hf2d"]))
+def test_pair_matrices_scale_with_radius(r, kind):
+    """S(r) = x S0, K(r) = K0/x, U(r) = U0 and V4(r) = x V4_0."""
+    b0 = preset_basis(kind)
+    x = r / b0.r0
+    b = scale_exponents(b0, r)
+    t, t0 = assemble_exciton(b, r), assemble_exciton(b0, b0.r0)
+    assert _rel(t.S, x * t0.S) < 1e-12
+    assert _rel(t.K, t0.K / x) < 1e-12
+    assert _rel(t.U, t0.U) < 1e-12
+    n_ang = b0.angular.size
+    assert _rel(repulsion_tensor(b.axial.alphas_i, r, n_ang),
+                x * repulsion_tensor(b0.axial.alphas_i, b0.r0, n_ang)) < 1e-12
+
+
+# --- input checks -------------------------------------------------------------
+BAD_R = [float("nan"), float("inf"), -float("inf"), 0.0, -0.1]
+BAD_SIGMA = [float("nan"), float("inf"), -0.5]
+SMALL = preset_basis("exciton1d")
+
+
+def _r_entry_points(r):
+    b = scale_exponents(preset_basis("trion1d"), 0.1)
+    return [
+        lambda: exciton_ground(r), lambda: exciton_energy(r, "1d"),
+        lambda: exciton_spectrum(r), lambda: trion_energy(r, 0.5),
+        lambda: trion_spectrum(r, 0.5, "-", "1d"),
+        lambda: binding_energy(r, 0.5), lambda: binding_both_charges(r, 0.5),
+        lambda: scf(r), lambda: hf_binding_energy(r, "1d"),
+        lambda: hf_pair_probability(r), lambda: sweep_sigma(r, [0.5]),
+        lambda: sweep_radius([r], models=("1d",)),
+        lambda: exciton_ground(r, "1d", SMALL),
+        lambda: trion_energy(r, 0.5, "-", "1d", preset_basis("trion1d")),
+        lambda: scf(r, "1d", preset_basis("hf1d")),
+        lambda: scale_exponents(b, r), lambda: coulomb_potential(1.0, 0.5, r),
+        lambda: assemble_kinetic(b, 0.5, r), lambda: assemble_potential(b, r),
+        lambda: assemble_trion(b, r, 0.5), lambda: assemble_exciton(SMALL, r),
+        lambda: repulsion_tensor((1.0,), r, 1),
+    ]
+
+
+@pytest.mark.parametrize("r", BAD_R)
+def test_bad_radius_rejected_everywhere(r):
+    for call in _r_entry_points(r):
+        with pytest.raises(ValueError, match="radius r must be finite and "
+                           "positive"):
+            call()
+
+
+@pytest.mark.parametrize("sigma", BAD_SIGMA)
+def test_bad_sigma_rejected_everywhere(sigma):
+    b = scale_exponents(preset_basis("trion1d"), 0.1)
+    for call in [lambda: trion_energy(0.1, sigma),
+                 lambda: trion_energy(0.1, sigma, "+", "1d"),
+                 lambda: trion_spectrum(0.1, sigma),
+                 lambda: binding_energy(0.1, sigma, "-", "1d"),
+                 lambda: binding_both_charges(0.1, sigma, "1d"),
+                 lambda: sweep_sigma(0.1, [sigma], "1d"),
+                 lambda: trion_energy(0.1, sigma, "-", "1d",
+                                      preset_basis("trion1d")),
+                 lambda: assemble_kinetic(b, sigma, 0.1),
+                 lambda: mixing_weight(sigma, "-")]:
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trion", "--radius", "nan", "--sigma", "0.5"],
+    ["trion", "--radius", "0.1", "--sigma", "nan"],
+    ["trion", "--radius", "0.1", "--sigma", "inf", "--model", "1d"],
+    ["exciton", "--radius", "inf"],
+    ["exciton", "--radius", "-0.1", "--model", "1d"],
+    ["hf", "--radius", "nan"],
+    ["probability", "--radius", "nan", "--kind", "exciton"],
+    ["sweep-sigma", "--radius", "nan", "--points", "2"],
+])
+def test_cli_rejects_non_finite_inputs(argv, capsys):
+    assert main(argv + ["--no-cache"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "radius r" in err or "sigma" in err
+
+
+# --- bound states -------------------------------------------------------------
+def test_preset_without_bound_state_raises():
+    for call in [lambda: exciton_ground(1e-3, "1d"),
+                 lambda: exciton_energy(1e-3),
+                 lambda: trion_energy(1e-3, 0.9, "-", "1d"),
+                 lambda: trion_spectrum(1e-3, 0.9),
+                 lambda: binding_both_charges(1e-3, 0.9, "1d"),
+                 lambda: scf(1e-3, "1d"),
+                 lambda: hf_binding_energy(1e-3)]:
+        with pytest.raises(ValueError, match=r"no bound state at r=0\.001"):
+            call()
+    assert main(["exciton", "--radius", "0.003", "--no-cache"]) == 1
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_preset_at_smallest_sweep_radius_still_solves(model):
+    both = binding_both_charges(0.02, 0.9, model)
+    for res in both.values():
+        assert res.E_X < 0 and res.E_T < res.E_X
+    assert scf(0.02, model).E_T_HF < 0
