@@ -12,8 +12,8 @@ import numpy as np
 from .assembly import assemble_exciton, repulsion_tensor
 from .basis import AngularSet, scale_exponents
 from .quadrature import DEFAULT_QUAD
-from .solver import (TrionResult, check_bound, exciton_ground, preset_at,
-                     solve_generalized)
+from .solver import (TrionResult, _check_symmetric, _orthogonalizer,
+                     check_bound, exciton_ground, preset_at)
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,13 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
         h, S = t.H, t.S
         V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang, quad)
 
+    _check_symmetric(S)
+    X = _orthogonalizer(S)          # S is the same in every iteration
+
     def lowest(F):
-        spec = solve_generalized(F, S)
-        return float(spec.energies[0]), spec.coefficients[:, 0]
+        _check_symmetric(F)
+        e, c = np.linalg.eigh(X.T @ F @ X)
+        return float(e[0]), (X @ c)[:, 0]
 
     eps0, chi = lowest(h)          # V_H = 0 start: exciton-like orbital
     history = [eps0]

@@ -20,6 +20,9 @@ from .basis import BasisSpec, check_inputs, preset_basis, scale_exponents
 from .quadrature import DEFAULT_QUAD
 
 DROP_TOL = 1e-10
+# Below R_MIN the preset energies stop falling as r shrinks (trion2d below
+# r = 0.013, trion1d 0.0094, exciton 0.0074, hf 0.007): they are wrong.
+R_MIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,9 @@ def preset_family(kind, quad):
 def preset_at(kind, r, quad=DEFAULT_QUAD):
     """(family, x = r/r0) of a preset; r is checked before any assembly."""
     check_inputs(r)
+    if r < R_MIN:
+        raise ValueError(f"radius r={r} is below R_MIN={R_MIN}, the "
+                         "smallest radius the preset bases resolve")
     family = preset_family(kind, quad)
     return family, r / family.basis.r0
 

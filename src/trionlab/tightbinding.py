@@ -87,17 +87,49 @@ def graphene_band(k, p=DEFAULT_PARAMS, branch="conduction"):
     raise ValueError(f"unknown branch {branch!r}")
 
 
+def _translation(ch):
+    """(t1, t2, N): T = t1 a1 + t2 a2 and the number N of cutting lines."""
+    n, m = ch.n, ch.m
+    dR = gcd(2 * m + n, 2 * n + m)
+    N = 2 * (n * n + n * m + m * m) // dR
+    return (2 * m + n) // dR, -(2 * n + m) // dR, N
+
+
 def _fold(ch, p):
     """Allowed-line construction: returns (a1, a2, K1, K2hat, N, Tlen)."""
     a1, a2, b1, b2 = _lattice(p)
     n, m = ch.n, ch.m
-    dR = gcd(2 * m + n, 2 * n + m)
-    t1, t2 = (2 * m + n) // dR, -(2 * n + m) // dR
-    N = 2 * (n * n + n * m + m * m) // dR
+    t1, t2, N = _translation(ch)
     T = t1 * a1 + t2 * a2
     K1 = (-t2 * b1 + t1 * b2) / N
     K2 = (m * b1 - n * b2) / N
     return a1, a2, K1, K2 / np.linalg.norm(K2), N, np.linalg.norm(T)
+
+
+def _line_k(K1, K2h, mu, kpar):
+    """Wavevector mu K1 + kpar K2hat on cutting line(s) mu (broadcast)."""
+    return np.asarray(mu)[..., None] * K1 + np.asarray(kpar)[..., None] * K2h
+
+
+def _edge_lines(ch):
+    """Cutting lines next to K and K' (at most 4 indices, ascending).
+
+    The gap grows with |f(k)|, zero only at K and K'.  In the basis
+    (K1, K2), K = (2 b1 + b2)/3 and K' = (b1 + 2 b2)/3 sit at 3 alpha =
+    2n + m, n + 2m and 3 beta = 2 t1 + t2, t1 + 2 t2.  The reciprocal
+    vector u b1 + v b2 with u t1 + v t2 = 1 moves (alpha, beta) by
+    (u n + v m, 1); round(beta) such moves bring beta into the scanned
+    window [-1/2, 1/2], between lines floor(alpha) and ceil(alpha) mod N.
+    """
+    n, m = ch.n, ch.m
+    t1, t2, N = _translation(ch)
+    u = pow(t1, -1, -t2)          # extended Euclid: u t1 = 1 mod |t2|
+    v = (1 - u * t1) // t2
+    lines = set()
+    for a3, b3 in ((2 * n + m, 2 * t1 + t2), (n + 2 * m, t1 + 2 * t2)):
+        a3 -= 3 * ((b3 + 1) // 3) * (u * n + v * m)   # round(b3 / 3)
+        lines.update((a3 // 3 % N, -(-a3 // 3) % N))
+    return np.array(sorted(lines))
 
 
 def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
@@ -105,35 +137,33 @@ def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
     _, _, K1, K2h, N, _ = _fold(ch, p)
     if not 0 <= mu_idx < N:
         raise ValueError(f"subband index out of range 0..{N - 1}")
-    kpar = np.asarray(kpar, float)
-    k = mu_idx * K1 + kpar[..., None] * K2h
+    k = _line_k(K1, K2h, mu_idx, np.asarray(kpar, float))
     return (graphene_band(k, p, "conduction"), graphene_band(k, p, "valence"))
 
 
 def effective_masses(ch, p=DEFAULT_PARAMS, scan_points=2001, fd_step=1e-3):
     """Band-edge effective masses of a semiconducting tube.
 
-    Locates the global direct gap over all subbands (dense scan plus
-    golden-section refinement), then extracts curvatures by Richardson-
-    extrapolated central differences.
+    Scans the cutting lines next to K and K' (`_edge_lines`) for the
+    direct gap, refines it by golden-section search, then extracts
+    curvatures by Richardson-extrapolated central differences.
     """
     from scipy.optimize import minimize_scalar   # off the CLI import path
 
     if not is_semiconducting(ch):
         raise ValueError(f"({ch.n},{ch.m}) is metallic")
-    _, _, K1, K2h, N, Tlen = _fold(ch, p)
+    _, _, K1, K2h, _, Tlen = _fold(ch, p)
 
     def band(mu_idx, kpar, branch):
-        k = mu_idx * K1 + kpar * K2h
-        return graphene_band(k, p, branch)
+        return graphene_band(_line_k(K1, K2h, mu_idx, kpar), p, branch)
 
-    # dense scan of every subband at once, then refine only the winner
+    # dense scan of the candidate lines at once, then refine the winner
+    lines = _edge_lines(ch)
     ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, scan_points)
-    kk = (np.arange(N)[:, None, None] * K1[None, None, :]
-          + ks[None, :, None] * K2h[None, None, :])
+    kk = _line_k(K1, K2h, lines[:, None], ks)
     g = graphene_band(kk, p, "conduction") - graphene_band(kk, p, "valence")
-    mu_idx, i = np.unravel_index(int(np.argmin(g)), g.shape)
-    mu_idx = int(mu_idx)
+    row, i = np.unravel_index(int(np.argmin(g)), g.shape)
+    mu_idx = int(lines[row])
     if 0 < i < len(ks) - 1:
         res = minimize_scalar(
             lambda kp: band(mu_idx, kp, "conduction")
@@ -141,7 +171,7 @@ def effective_masses(ch, p=DEFAULT_PARAMS, scan_points=2001, fd_step=1e-3):
             bracket=(ks[i - 1], ks[i], ks[i + 1]))
         k0, gap = float(res.x), float(res.fun)
     else:
-        k0, gap = float(ks[i]), float(g[mu_idx, i])
+        k0, gap = float(ks[i]), float(g[row, i])
     if gap <= 0:
         raise RuntimeError("band-edge search failed to find a positive gap")
 

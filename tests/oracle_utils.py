@@ -2,7 +2,7 @@
 
 Everything here is deliberately brute-force: direct scipy quadrature of
 the defining integrals, with none of the closed-form reductions used by
-the package itself.
+the package itself, and a band-edge scan of every subband.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -99,3 +99,54 @@ def brute_repulsion_element(pa, pb, P, Q, r):
     norm = 1.0 / (4.0 * np.pi ** 2)
     sing = lambda t2: [t2, t2 - 2.0 * np.pi, t2 + 2.0 * np.pi]
     return norm * gauss_axial(E) * _nested_quad(f, sing)
+
+
+def brute_effective_masses(ch, p=None, scan_points=2001, fd_step=1e-3):
+    """Band-edge masses from a dense scan of every one of the N subbands.
+
+    The all-subband search that `effective_masses` replaced by the
+    cutting lines next to K and K'; same scan grid, refinement and
+    curvature, so the two must agree exactly.
+    """
+    from scipy.optimize import minimize_scalar
+    from trionlab.tightbinding import (DEFAULT_PARAMS, EffectiveMasses,
+                                       _fold, graphene_band,
+                                       is_semiconducting)
+
+    p = DEFAULT_PARAMS if p is None else p
+    if not is_semiconducting(ch):
+        raise ValueError(f"({ch.n},{ch.m}) is metallic")
+    _, _, K1, K2h, N, Tlen = _fold(ch, p)
+
+    def band(mu_idx, kpar, branch):
+        return graphene_band(mu_idx * K1 + kpar * K2h, p, branch)
+
+    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, scan_points)
+    kk = (np.arange(N)[:, None, None] * K1[None, None, :]
+          + ks[None, :, None] * K2h[None, None, :])
+    g = graphene_band(kk, p, "conduction") - graphene_band(kk, p, "valence")
+    mu_idx, i = np.unravel_index(int(np.argmin(g)), g.shape)
+    mu_idx = int(mu_idx)
+    if 0 < i < len(ks) - 1:
+        res = minimize_scalar(
+            lambda kp: band(mu_idx, kp, "conduction")
+            - band(mu_idx, kp, "valence"),
+            bracket=(ks[i - 1], ks[i], ks[i + 1]))
+        k0, gap = float(res.x), float(res.fun)
+    else:
+        k0, gap = float(ks[i]), float(g[mu_idx, i])
+    if gap <= 0:
+        raise RuntimeError("band-edge search failed to find a positive gap")
+
+    def curvature(branch):
+        def d2(h):
+            return (band(mu_idx, k0 + h, branch)
+                    - 2.0 * band(mu_idx, k0, branch)
+                    + band(mu_idx, k0 - h, branch)) / h ** 2
+        c1, c2 = d2(fd_step), d2(fd_step / 2.0)
+        return (4.0 * c2 - c1) / 3.0
+
+    m_e = p.a ** 2 / abs(curvature("conduction"))
+    m_h = p.a ** 2 / abs(curvature("valence"))
+    mu = 1.0 / (1.0 / m_e + 1.0 / m_h)
+    return EffectiveMasses(m_e, m_h, mu, m_e / m_h, gap, mu_idx, k0)

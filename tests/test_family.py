@@ -213,9 +213,32 @@ def test_preset_without_bound_state_raises():
                  lambda: binding_both_charges(1e-3, 0.9, "1d"),
                  lambda: scf(1e-3, "1d"),
                  lambda: hf_binding_energy(1e-3)]:
-        with pytest.raises(ValueError, match=r"no bound state at r=0\.001"):
+        with pytest.raises(ValueError, match=r"r=0\.001 is below R_MIN"):
             call()
     assert main(["exciton", "--radius", "0.003", "--no-cache"]) == 1
+    with pytest.raises(ValueError, match=r"no bound state at r=0\.5"):
+        solver.check_bound(0.0, 0.5)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.0199])
+def test_preset_below_r_min_raises(r, capsys):
+    """Below R_MIN the preset energies stop falling as r shrinks and are
+    wrong though negative; every preset entry point refuses such r."""
+    assert solver.R_MIN <= 0.02
+    for call in [lambda: exciton_spectrum(r, "2d"),
+                 lambda: exciton_energy(r, "1d"),
+                 lambda: trion_energy(r, 0.9, "+", "2d"),
+                 lambda: trion_spectrum(r, 0.0, "-", "1d"),
+                 lambda: binding_energy(r, 0.5),
+                 lambda: binding_both_charges(r, 0.9, "2d"),
+                 lambda: scf(r, "2d"),
+                 lambda: hf_binding_energy(r, "1d"),
+                 lambda: hf_pair_probability(r, grid_size=5),
+                 lambda: sweep_radius([0.1, r], models=("1d",))]:
+        with pytest.raises(ValueError, match=f"r={r} is below R_MIN"):
+            call()
+    assert main(["exciton", "--radius", str(r), "--no-cache"]) == 1
+    assert "below R_MIN" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ["1d", "2d"])

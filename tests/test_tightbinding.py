@@ -1,11 +1,14 @@
 """Tight-binding bands, zone folding and effective masses."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracle_utils import brute_effective_masses
 from trionlab import ChiralIndex, TightBindingParams, effective_masses, \
     enumerate_species, fermi_velocity, is_semiconducting, radius
-from trionlab.tightbinding import DEFAULT_PARAMS, graphene_band, \
-    subband_energies
+from trionlab.tightbinding import DEFAULT_PARAMS, _fold, _lattice, \
+    graphene_band, subband_energies
 
 
 def test_params_validation():
@@ -84,6 +87,57 @@ def test_effective_masses_step_insensitive():
     em2 = effective_masses(ChiralIndex(7, 5), fd_step=5e-4)
     assert em1.m_e == pytest.approx(em2.m_e, rel=5e-3)
     assert em1.m_h == pytest.approx(em2.m_h, rel=5e-3)
+
+
+# both families, zigzag, near armchair, (4,2), the largest N in 3-15 A
+# (2,918 lines) and a 15-20 A tube; then two other parameter sets
+EDGE_CASES = [((n, m), DEFAULT_PARAMS) for n, m in [
+    (6, 5), (7, 5), (10, 0), (11, 0), (11, 10), (4, 2), (30, 13), (26, 18)]]
+EDGE_CASES += [(nm, p) for p in (TightBindingParams(t=-2.7, s=0.0, e2p=0.3),
+                                 TightBindingParams(s=0.2))
+               for nm in [(6, 5), (10, 0), (4, 2), (17, 4)]]
+
+
+@pytest.mark.parametrize("nm, p", EDGE_CASES, ids=[
+    f"{n},{m}-t{p.t}-s{p.s}-e{p.e2p}" for (n, m), p in EDGE_CASES])
+def test_edge_lines_match_all_subband_scan(nm, p):
+    """Scanning only the lines next to K and K' must reproduce the scan
+    of every subband exactly: same subband, edge, gap and masses."""
+    ch = ChiralIndex(*nm)
+    assert effective_masses(ch, p) == brute_effective_masses(ch, p)
+
+
+def test_band_edge_next_to_k_point():
+    """For every species in 3-15 A the edge subband*K1 + k_edge*K2hat
+    lies within |K1|/2 of an image of K or K'."""
+    p = DEFAULT_PARAMS
+    _, _, b1, b2 = _lattice(p)
+    shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    for ch in enumerate_species(3.0, 15.0, p):
+        em = effective_masses(ch, p)
+        _, _, K1, K2h, _, _ = _fold(ch, p)
+        edge = em.subband * K1 + em.k_edge * K2h
+        frac = np.linalg.solve(np.array([b1, b2]).T, edge)
+        best = np.inf
+        for point in ((2 / 3, 1 / 3), (1 / 3, 2 / 3)):   # K, K'
+            d = frac - point
+            d -= np.round(d)
+            images = (d + shifts) @ np.array([b1, b2])
+            best = min(best, np.min(np.linalg.norm(images, axis=1)))
+        assert best < np.linalg.norm(K1) / 2, (ch, best)
+
+
+def test_effective_masses_memory_independent_of_subbands():
+    ch = ChiralIndex(36, 1)
+    assert _fold(ch, DEFAULT_PARAMS)[4] == 2666
+    effective_masses(ch)    # scipy.optimize import outside the trace
+    tracemalloc.start()
+    try:
+        effective_masses(ch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_gap_matches_subband_scan():
