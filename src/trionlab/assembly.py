@@ -23,10 +23,6 @@ class MatrixTriple:
     K: np.ndarray
     U: np.ndarray
 
-    @property
-    def H(self):
-        return self.K + self.U
-
 
 def mixing_weight(sigma, charge):
     """Mass-fraction weight of the mixed kinetic terms: 2 sigma/(1+sigma).
@@ -144,13 +140,6 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     U = Uu[np.ix_(ia.ravel(), ib.ravel(), ic.ravel())]
     U = U.reshape(n1, n1, n2, n2, n3, n3, L, L)
     return _flatten(U)
-
-
-def assemble_trion(basis, r, sigma, charge="-", quad=DEFAULT_QUAD):
-    """Overlap, kinetic and Coulomb matrices of the three-body problem."""
-    return MatrixTriple(assemble_overlap(basis),
-                        assemble_kinetic(basis, sigma, r, charge),
-                        assemble_potential(basis, r, quad))
 
 
 # --- single-particle (electron-hole pair) problem ---------------------------

@@ -48,10 +48,16 @@ class ResultCache:
         try:
             with open(path) as fh:
                 record = json.load(fh)
-            if record.get("key") != key:
-                raise ValueError("key mismatch")
-            return record["payload"]
-        except (ValueError, KeyError, OSError) as exc:
+            if not (isinstance(record, dict) and record.get("key") == key):
+                raise ValueError("not a record of this key")
+            payload = record.get("payload")
+            if not (isinstance(payload, dict)
+                    and isinstance(payload.get("metadata"), dict)
+                    and isinstance(payload.get("rows"), list)
+                    and all(isinstance(row, dict) for row in payload["rows"])):
+                raise ValueError("payload lacks metadata or rows")
+            return payload
+        except (ValueError, OSError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}",
                   file=sys.stderr)
             return None

@@ -99,7 +99,7 @@ def cmd_masses(args):
 def cmd_bands(args):
     ch = parse_chirality(args.chirality)
     p = _tb_params(args)
-    _, _, _, _, N, Tlen = tb._fold(ch, p)
+    N, Tlen = tb.cutting_lines(ch, p)
     ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, args.points)
     rows = []
     for mu_idx in range(N):

@@ -9,11 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_exciton, repulsion_tensor
-from .basis import AngularSet, scale_exponents
 from .quadrature import DEFAULT_QUAD
 from .solver import (TrionResult, _check_symmetric, _orthogonalizer,
-                     check_bound, exciton_ground, preset_at)
+                     exciton_ground, family_at)
 
 
 @dataclass(frozen=True)
@@ -36,16 +34,8 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
     """Self-consistent single-orbital solution at radius r."""
     if not 0 < mixing <= 1:
         raise ValueError("mixing must be in (0, 1]")
-    if basis is None:
-        family, x = preset_at("hf" + model, r, quad)
-        h, S, V4 = family.hf_matrices(x)
-    else:
-        basis = scale_exponents(basis, r)
-        n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
-        t = assemble_exciton(basis, r, quad)
-        h, S = t.H, t.S
-        V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang, quad)
-
+    fam, x, bound = family_at("hf", model, r, basis, quad)
+    h, S, V4 = fam.hf_matrices(x)
     _check_symmetric(S)
     X = _orthogonalizer(S)          # S is the same in every iteration
 
@@ -67,9 +57,7 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
             converged = True
             break
     VH = hartree_matrix(np.outer(chi, chi), V4)
-    e_total = 2.0 * history[-1] - chi @ VH @ chi
-    if basis is None:
-        check_bound(e_total, r)
+    e_total = bound(2.0 * history[-1] - chi @ VH @ chi)
     return HFState(chi, history[-1], float(e_total), len(history) - 1,
                    converged, tuple(history))
 

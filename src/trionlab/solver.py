@@ -4,9 +4,11 @@ Ground-state energies are reported as raw (negative) eigenvalues in Ry*;
 the public `exciton_energy` returns the positive binding energy, and
 binding energies are differences of the raw ground energies.
 
-Calls without an explicit basis use the preset bases through
-`preset_family`, which assembles each preset once per process and
-quadrature; an explicit basis is scaled, assembled and solved at r.
+Every basis is assembled once at its own reference radius r0 into a
+`Family`, and each (r, sigma, charge) point is one reduced eigenproblem
+of that family.  Calls without a basis use the preset families, cached
+per process and quadrature (`preset_family`); an explicit basis gets a
+family of its own for each call.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .assembly import (assemble_exciton, assemble_kinetic, assemble_overlap,
-                       assemble_potential, assemble_trion, mixing_weight,
-                       repulsion_tensor)
-from .basis import BasisSpec, check_inputs, preset_basis, scale_exponents
+                       assemble_potential, mixing_weight, repulsion_tensor)
+from .basis import (AngularSet, BasisSpec, check_inputs, preset_basis,
+                    scale_exponents)
 from .quadrature import DEFAULT_QUAD
 
 DROP_TOL = 1e-10
@@ -76,14 +78,14 @@ def solve_generalized(H, S):
     return Spectrum(e, X @ c, X.shape[1])
 
 
-# --- preset families --------------------------------------------------------
+# --- families ---------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
-class PresetFamily:
-    """One preset basis assembled at its reference radius r0.
+class Family:
+    """One basis assembled at its own reference radius r0.
 
-    At radius r the preset exponents are scaled by (r0/r)^2, which
-    leaves every Coulomb argument q = 4 r^2 D/E unchanged.  With
-    x = r/r0 each matrix is its r0 value times a power of x:
+    At radius r the exponents are scaled by (r0/r)^2, which leaves every
+    Coulomb argument q = 4 r^2 D/E unchanged.  With x = r/r0 each matrix
+    is its r0 value times a power of x:
         trion:       S = x^2 S0,  K = Ka + w Km,  U = x U0
         exciton/hf:  S = x S0,    K = K0 / x,     U = U0,  V4 = x V4_0
     (w = `mixing_weight(sigma, charge)`).  So one eigenproblem in the
@@ -91,12 +93,12 @@ class PresetFamily:
     coefficients in the scaled basis are X0 v / x (trion) or
     X0 v / sqrt(x) (exciton).
     """
-    basis: BasisSpec        # the preset at r0
+    basis: BasisSpec        # the basis at r0
     S: np.ndarray           # S0
     parts: tuple            # (Ka, Km, U0) for a trion, (K0, U0) otherwise
     X: np.ndarray           # X0, from `_orthogonalizer(S0)`
     reduced: tuple          # X0^T M X0 for each M in parts
-    V4: np.ndarray = None   # repulsion tensor at r0 (hf presets only)
+    V4: np.ndarray = None   # repulsion tensor at r0 (hf only)
 
     def hf_matrices(self, x):
         """(h, S, V4) of the single-orbital mean field at x = r/r0."""
@@ -104,17 +106,11 @@ class PresetFamily:
         return K0 / x + U0, x * self.S, x * self.V4
 
 
-@lru_cache(maxsize=None)
-def preset_family(kind, quad):
-    """The PresetFamily of a preset, assembled on first use.
-
-    One entry per (kind, quad) lives for the whole process: six preset
-    kinds times the quadratures in use, at most about 4 MB each (2D trion).
-    """
-    basis = preset_basis(kind)
+def family(problem, basis, quad):
+    """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
     V4 = None
-    if kind.startswith("trion"):
+    if problem == "trion":
         S = assemble_overlap(basis)
         Ka = assemble_kinetic(basis, 0.0, r0)
         parts = (Ka, assemble_kinetic(basis, 1.0, r0) - Ka,
@@ -122,27 +118,26 @@ def preset_family(kind, quad):
     else:
         t = assemble_exciton(basis, r0, quad)
         S, parts = t.S, (t.K, t.U)
-        if kind.startswith("hf"):
-            V4 = repulsion_tensor(basis.axial.alphas_i, r0,
-                                  basis.angular.size, quad)
+        if problem == "hf":
+            n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
+            V4 = repulsion_tensor(basis.axial.alphas_i, r0, n_ang, quad)
     _check_symmetric(S, *parts)
     X = _orthogonalizer(S)
-    family = PresetFamily(basis, S, parts, X,
-                          tuple(X.T @ M @ X for M in parts), V4)
-    for M in (S, X, V4, *parts, *family.reduced):
+    fam = Family(basis, S, parts, X, tuple(X.T @ M @ X for M in parts), V4)
+    for M in (S, X, V4, *parts, *fam.reduced):
         if M is not None:
-            M.flags.writeable = False   # shared by every later caller
-    return family
+            M.flags.writeable = False   # a preset family is shared
+    return fam
 
 
-def preset_at(kind, r, quad=DEFAULT_QUAD):
-    """(family, x = r/r0) of a preset; r is checked before any assembly."""
-    check_inputs(r)
-    if r < R_MIN:
-        raise ValueError(f"radius r={r} is below R_MIN={R_MIN}, the "
-                         "smallest radius the preset bases resolve")
-    family = preset_family(kind, quad)
-    return family, r / family.basis.r0
+@lru_cache(maxsize=None)
+def preset_family(kind, quad):
+    """The Family of a preset, assembled on first use.
+
+    One entry per (kind, quad) lives for the whole process: six preset
+    kinds times the quadratures in use, at most about 4 MB each (2D trion).
+    """
+    return family(kind[:-2], preset_basis(kind), quad)
 
 
 def check_bound(e, r):
@@ -154,13 +149,30 @@ def check_bound(e, r):
     return e
 
 
+def family_at(problem, model, r, basis, quad):
+    """(family, x = r/r0, bound) of one point; r is checked first.
+
+    Without a basis this is the cached preset family of `model`, for
+    r >= R_MIN, and bound(e) is `check_bound(e, r)`.  An explicit basis
+    gets an uncached family, is not bounded, and bound(e) returns e.
+    """
+    check_inputs(r)
+    if basis is not None:
+        return family(problem, basis, quad), r / basis.r0, lambda e: e
+    if r < R_MIN:
+        raise ValueError(f"radius r={r} is below R_MIN={R_MIN}, the "
+                         "smallest radius the preset bases resolve")
+    fam = preset_family(problem + model, quad)
+    return fam, r / fam.basis.r0, lambda e: check_bound(e, r)
+
+
 def _lowest(h):
     """Lowest eigenvalue of a symmetric matrix."""
     from scipy.linalg import eigh   # off the import path of the package
     return float(eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
-def _preset_spectrum(family, h, x, p, r):
+def _spectrum(fam, h, x, p, bound, r):
     """Spectrum and scaled basis at x = r/r0 from h = X0^T H(r) X0.
 
     With S(r) = x^p S0, H c = E S c becomes h v = x^p E v for
@@ -168,27 +180,23 @@ def _preset_spectrum(family, h, x, p, r):
     """
     e, v = np.linalg.eigh(h)
     e = e / x ** p
-    check_bound(e[0], r)
-    return (Spectrum(e, family.X @ v / x ** (p / 2), len(e)),
-            scale_exponents(family.basis, r))
+    bound(e[0])
+    return (Spectrum(e, fam.X @ v / x ** (p / 2), len(e)),
+            scale_exponents(fam.basis, r))
 
 
-def _preset_trion(r, sigma, charge, model, quad):
-    """(family, x, reduced Hamiltonian) of the preset trion at one point."""
-    family, x = preset_at("trion" + model, r, quad)
-    ka, km, u = family.reduced
-    return family, x, ka + mixing_weight(sigma, charge) * km + x * u
+def _trion(r, sigma, charge, model, basis, quad):
+    """(family, x, bound, reduced Hamiltonian) of the trion at one point."""
+    fam, x, bound = family_at("trion", model, r, basis, quad)
+    ka, km, u = fam.reduced
+    return fam, x, bound, ka + mixing_weight(sigma, charge) * km + x * u
 
 
 # --- front ends -------------------------------------------------------------
 def exciton_spectrum(r, model="2d", basis=None, quad=DEFAULT_QUAD):
-    if basis is None:
-        family, x = preset_at("exciton" + model, r, quad)
-        k, u = family.reduced
-        return _preset_spectrum(family, k / x + u, x, 1, r)
-    basis = scale_exponents(basis, r)
-    t = assemble_exciton(basis, r, quad)
-    return solve_generalized(t.H, t.S), basis
+    fam, x, bound = family_at("exciton", model, r, basis, quad)
+    k, u = fam.reduced
+    return _spectrum(fam, k / x + u, x, 1, bound, r)
 
 
 def exciton_ground(r, model="2d", basis=None, quad=DEFAULT_QUAD):
@@ -204,22 +212,15 @@ def exciton_energy(r, model="2d", basis=None, quad=DEFAULT_QUAD):
 
 def trion_spectrum(r, sigma, charge="-", model="2d", basis=None,
                    quad=DEFAULT_QUAD):
-    if basis is None:
-        family, x, h = _preset_trion(r, sigma, charge, model, quad)
-        return _preset_spectrum(family, h, x, 2, r)
-    basis = scale_exponents(basis, r)
-    t = assemble_trion(basis, r, sigma, charge, quad)
-    return solve_generalized(t.H, t.S), basis
+    fam, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
+    return _spectrum(fam, h, x, 2, bound, r)
 
 
 def trion_energy(r, sigma, charge="-", model="2d", basis=None,
                  quad=DEFAULT_QUAD):
     """Raw (negative) trion ground energy in Ry*."""
-    if basis is None:
-        _, x, h = _preset_trion(r, sigma, charge, model, quad)
-        return check_bound(_lowest(h) / x ** 2, r)
-    spec, _ = trion_spectrum(r, sigma, charge, model, basis, quad)
-    return float(spec.energies[0])
+    _, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
+    return bound(_lowest(h) / x ** 2)
 
 
 def binding_energy(r, sigma, charge="-", model="2d", trion_basis=None,

@@ -96,14 +96,21 @@ def _translation(ch):
 
 
 def _fold(ch, p):
-    """Allowed-line construction: returns (a1, a2, K1, K2hat, N, Tlen)."""
+    """Allowed-line construction: returns (K1, K2hat, N, Tlen)."""
     a1, a2, b1, b2 = _lattice(p)
     n, m = ch.n, ch.m
     t1, t2, N = _translation(ch)
     T = t1 * a1 + t2 * a2
     K1 = (-t2 * b1 + t1 * b2) / N
     K2 = (m * b1 - n * b2) / N
-    return a1, a2, K1, K2 / np.linalg.norm(K2), N, np.linalg.norm(T)
+    return K1, K2 / np.linalg.norm(K2), N, np.linalg.norm(T)
+
+
+def cutting_lines(ch, p=DEFAULT_PARAMS):
+    """(N, Tlen): the number of cutting lines and the length of the
+    translation vector; each line runs over kpar in [-pi/Tlen, pi/Tlen]."""
+    _, _, N, Tlen = _fold(ch, p)
+    return N, Tlen
 
 
 def _line_k(K1, K2h, mu, kpar):
@@ -134,7 +141,7 @@ def _edge_lines(ch):
 
 def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
     """Conduction/valence energies along allowed line mu_idx at kpar."""
-    _, _, K1, K2h, N, _ = _fold(ch, p)
+    K1, K2h, N, _ = _fold(ch, p)
     if not 0 <= mu_idx < N:
         raise ValueError(f"subband index out of range 0..{N - 1}")
     k = _line_k(K1, K2h, mu_idx, np.asarray(kpar, float))
@@ -152,7 +159,7 @@ def effective_masses(ch, p=DEFAULT_PARAMS, scan_points=2001, fd_step=1e-3):
 
     if not is_semiconducting(ch):
         raise ValueError(f"({ch.n},{ch.m}) is metallic")
-    _, _, K1, K2h, _, Tlen = _fold(ch, p)
+    K1, K2h, _, Tlen = _fold(ch, p)
 
     def band(mu_idx, kpar, branch):
         return graphene_band(_line_k(K1, K2h, mu_idx, kpar), p, branch)

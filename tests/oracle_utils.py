@@ -2,11 +2,22 @@
 
 Everything here is deliberately brute-force: direct scipy quadrature of
 the defining integrals, with none of the closed-form reductions used by
-the package itself, and a band-edge scan of every subband.
+the package itself, a band-edge scan of every subband, and solves of
+matrices assembled at the radius of each point (the path that the
+families of `trionlab.solver` replaced).
 """
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import k0e
+
+from trionlab.assembly import (MatrixTriple, assemble_exciton,
+                               assemble_kinetic, assemble_overlap,
+                               assemble_potential, repulsion_tensor)
+from trionlab.basis import AngularSet, scale_exponents
+from trionlab.quadrature import DEFAULT_QUAD
+from trionlab.solver import solve_generalized
+from trionlab.tightbinding import (DEFAULT_PARAMS, EffectiveMasses, _fold,
+                                   graphene_band, is_semiconducting)
 
 # Two-particle angular basis functions, 0-based labels.
 ANGULAR_FUNCS = [
@@ -109,14 +120,11 @@ def brute_effective_masses(ch, p=None, scan_points=2001, fd_step=1e-3):
     curvature, so the two must agree exactly.
     """
     from scipy.optimize import minimize_scalar
-    from trionlab.tightbinding import (DEFAULT_PARAMS, EffectiveMasses,
-                                       _fold, graphene_band,
-                                       is_semiconducting)
 
     p = DEFAULT_PARAMS if p is None else p
     if not is_semiconducting(ch):
         raise ValueError(f"({ch.n},{ch.m}) is metallic")
-    _, _, K1, K2h, N, Tlen = _fold(ch, p)
+    K1, K2h, N, Tlen = _fold(ch, p)
 
     def band(mu_idx, kpar, branch):
         return graphene_band(mu_idx * K1 + kpar * K2h, p, branch)
@@ -150,3 +158,52 @@ def brute_effective_masses(ch, p=None, scan_points=2001, fd_step=1e-3):
     m_h = p.a ** 2 / abs(curvature("valence"))
     mu = 1.0 / (1.0 / m_e + 1.0 / m_h)
     return EffectiveMasses(m_e, m_h, mu, m_e / m_h, gap, mu_idx, k0)
+
+
+# --- solves assembled at r, without the families -----------------------------
+def assemble_trion(basis, r, sigma, charge="-", quad=DEFAULT_QUAD):
+    """Overlap, kinetic and Coulomb matrices of the three-body problem."""
+    return MatrixTriple(assemble_overlap(basis),
+                        assemble_kinetic(basis, sigma, r, charge),
+                        assemble_potential(basis, r, quad))
+
+
+def general_trion(r, sigma, charge, basis, quad=DEFAULT_QUAD):
+    """(Spectrum, scaled basis) of the trion: scale the exponents to r,
+    assemble at r and solve the generalized eigenproblem."""
+    b = scale_exponents(basis, r)
+    t = assemble_trion(b, r, sigma, charge, quad)
+    return solve_generalized(t.K + t.U, t.S), b
+
+
+def general_exciton(r, basis, quad=DEFAULT_QUAD):
+    """(Spectrum, scaled basis) of the exciton assembled at r."""
+    b = scale_exponents(basis, r)
+    t = assemble_exciton(b, r, quad)
+    return solve_generalized(t.K + t.U, t.S), b
+
+
+def general_scf(r, basis, mixing=0.5, tol=1e-8, max_iter=200,
+                quad=DEFAULT_QUAD):
+    """(E_T_HF, orbital, iterations) of the single-orbital mean field on
+    matrices assembled at r, one generalized solve per iteration."""
+    b = scale_exponents(basis, r)
+    t = assemble_exciton(b, r, quad)
+    h = t.K + t.U
+    n_ang = 1 if b.angular is AngularSet.CONSTANT else 2
+    V4 = repulsion_tensor(b.axial.alphas_i, r, n_ang, quad)
+
+    def lowest(F):
+        spec = solve_generalized(F, t.S)
+        return float(spec.energies[0]), spec.coefficients[:, 0]
+
+    eps, chi = lowest(h)
+    rho = np.outer(chi, chi)
+    for it in range(1, max_iter + 1):
+        prev = eps
+        eps, chi = lowest(h + np.einsum("abcd,cd->ab", V4, rho))
+        rho = mixing * np.outer(chi, chi) + (1.0 - mixing) * rho
+        if abs(eps - prev) < tol:
+            break
+    VH = np.einsum("abcd,cd->ab", V4, np.outer(chi, chi))
+    return 2.0 * eps - chi @ VH @ chi, chi, it

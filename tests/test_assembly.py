@@ -2,12 +2,12 @@
 import numpy as np
 import pytest
 
-from oracle_utils import brute_repulsion_element, brute_trion_element
+from oracle_utils import assemble_trion, brute_repulsion_element, \
+    brute_trion_element
 from trionlab import AngularSet, AxialBasis, BasisSpec, preset_basis, \
     scale_exponents
 from trionlab.assembly import assemble_exciton, assemble_kinetic, \
-    assemble_overlap, assemble_potential, assemble_trion, mixing_weight, \
-    repulsion_tensor
+    assemble_overlap, assemble_potential, mixing_weight, repulsion_tensor
 from trionlab.quadrature import DEFAULT_QUAD
 
 SMALL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7), (0.09, 1.2)),

@@ -127,14 +127,20 @@ def test_cache_key_changes_with_source(tmp_path, monkeypatch):
     assert len(os.listdir(cache)) == 2
 
 
-def test_cache_corrupt_entry_recovers(tmp_path, capsys):
+@pytest.mark.parametrize("record", [
+    lambda key: "{not json",
+    lambda key: "[1, 2]",
+    lambda key: json.dumps({"key": key, "payload": {"rows": []}}),
+], ids=["not-json", "not-object", "no-metadata"])
+def test_cache_corrupt_entry_recovers(record, tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["exciton", "--radius", "0.1", "--model", "1d",
             "--cache-dir", str(cache)]
     _, a = _run(argv)
-    entry = os.path.join(cache, os.listdir(cache)[0])
+    name = os.listdir(cache)[0]
+    entry = os.path.join(cache, name)
     with open(entry, "w") as fh:
-        fh.write("{not json")
+        fh.write(record(name[:-len(".json")]))
     code, b = _run(argv)
     assert code == 0
     assert b == a

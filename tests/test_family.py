@@ -1,4 +1,4 @@
-"""Preset families against the general path, the radius identities they
+"""Families against solves assembled at r, the radius identities they
 rest on, and the input and bound-state checks of every entry point."""
 import os
 import subprocess
@@ -10,16 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 import trionlab
 import trionlab.solver as solver
+from oracle_utils import general_exciton, general_scf, general_trion
 from trionlab.analysis import (binding_both_charges, exciton_probability,
                                hf_pair_probability, sweep_radius, sweep_sigma,
                                trion_probability)
 from trionlab.assembly import (assemble_exciton, assemble_kinetic,
                                assemble_overlap, assemble_potential,
-                               assemble_trion, mixing_weight,
-                               repulsion_tensor)
-from trionlab.basis import coulomb_potential, preset_basis, scale_exponents
+                               mixing_weight, repulsion_tensor)
+from trionlab.basis import (AxialBasis, BasisSpec, coulomb_potential,
+                            preset_basis, scale_exponents)
 from trionlab.cli import main
 from trionlab.hartree_fock import hf_binding_energy, scf
+from trionlab.optimizer import optimize
 from trionlab.quadrature import QuadratureSpec
 from trionlab.solver import (binding_energy, exciton_energy, exciton_ground,
                              exciton_spectrum, trion_energy, trion_spectrum)
@@ -29,36 +31,44 @@ POINTS = [(s, c) for s in (0.0, 0.93, 1 / 0.93) for c in ("-", "+")
           if not (c == "+" and s == 0.0)]
 
 
-# --- the family against the general path ------------------------------------
+# --- the family against solves assembled at r -------------------------------
+def _check_scf(state, r, basis):
+    """E_T_HF, iteration count and density of `scf` against the oracle."""
+    e_ref, chi_ref, iterations = general_scf(r, basis)
+    assert state.iterations == iterations
+    assert state.E_T_HF == pytest.approx(e_ref, abs=CONTRACT_TOL)
+    rho, rho_ref = (np.outer(c, c) for c in (state.orbital_coeffs, chi_ref))
+    assert np.abs(rho - rho_ref).max() < 1e-9 * np.abs(rho_ref).max()
+
+
 @pytest.mark.parametrize("model", ["1d", "2d"])
 @pytest.mark.parametrize("r", [0.02, 0.084, 0.3])
 def test_family_matches_general_path(r, model):
-    """An explicit preset basis takes the general path (assembly at r)."""
+    """Preset calls, and one call with the preset passed as an explicit
+    basis, against the preset assembled and solved at r."""
     trion = preset_basis("trion" + model)
     for sigma, charge in POINTS:
-        fast = trion_energy(r, sigma, charge, model)
-        assert fast == pytest.approx(
-            trion_energy(r, sigma, charge, model, trion), abs=CONTRACT_TOL)
-    assert exciton_ground(r, model) == pytest.approx(
-        exciton_ground(r, model, preset_basis("exciton" + model)),
-        abs=CONTRACT_TOL)
-    hf = scf(r, model)
-    ref = scf(r, model, preset_basis("hf" + model))
-    assert hf.iterations == ref.iterations
-    assert hf.E_T_HF == pytest.approx(ref.E_T_HF, abs=CONTRACT_TOL)
-    rho, rho_ref = (np.outer(s.orbital_coeffs, s.orbital_coeffs)
-                    for s in (hf, ref))
-    assert np.abs(rho - rho_ref).max() < 1e-9 * np.abs(rho_ref).max()
+        ref = general_trion(r, sigma, charge, trion)[0].energies[0]
+        assert trion_energy(r, sigma, charge, model) == pytest.approx(
+            ref, abs=CONTRACT_TOL)
+    # the preset passed as an explicit basis, at the last point
+    assert trion_energy(r, sigma, charge, model, trion) == pytest.approx(
+        ref, abs=CONTRACT_TOL)
+    exciton = preset_basis("exciton" + model)
+    ref = general_exciton(r, exciton)[0].energies[0]
+    assert exciton_ground(r, model) == pytest.approx(ref, abs=CONTRACT_TOL)
+    assert exciton_ground(r, model, exciton) == pytest.approx(
+        ref, abs=CONTRACT_TOL)
+    _check_scf(scf(r, model), r, preset_basis("hf" + model))
 
 
 @pytest.mark.parametrize("model", ["1d", "2d"])
 @pytest.mark.parametrize("r", [0.02, 0.3])
 def test_family_spectra_match_general_path(r, model):
     """Back-transformed coefficients give the same scaled basis, ground
-    energy and angular densities as the general path."""
+    energy and angular densities as the solve assembled at r."""
     spec, basis = trion_spectrum(r, 0.93, "-", model)
-    ref, ref_basis = trion_spectrum(r, 0.93, "-", model,
-                                    preset_basis("trion" + model))
+    ref, ref_basis = general_trion(r, 0.93, "-", preset_basis("trion" + model))
     assert basis == ref_basis
     assert spec.retained_dim == ref.retained_dim
     assert spec.energies[0] == pytest.approx(ref.energies[0],
@@ -67,12 +77,69 @@ def test_family_spectra_match_general_path(r, model):
     P_ref = trion_probability(ref, ref_basis, 41).values
     assert np.abs(P - P_ref).max() < 1e-9 * P_ref.max()
     spec, basis = exciton_spectrum(r, model)
-    ref, ref_basis = exciton_spectrum(r, model,
-                                      preset_basis("exciton" + model))
+    ref, ref_basis = general_exciton(r, preset_basis("exciton" + model))
     assert basis == ref_basis
     assert np.allclose(exciton_probability(spec, basis, 41).values,
                        exciton_probability(ref, ref_basis, 41).values,
                        rtol=0, atol=1e-12)
+
+
+def _detuned(kind, r0):
+    """The preset exponents moved by 0.8 and 1.2 in turn, referred to r0.
+
+    Moved by 1.25 and 0.85 instead, the 2D trion basis is so near linear
+    dependence that the reference itself moves by up to 3e-10 Ry* when
+    its basis functions are reordered; these factors keep that spread
+    near 1e-11, well inside CONTRACT_TOL.
+    """
+    b = preset_basis(kind)
+
+    def move(al):
+        return tuple(a * (0.8, 1.2)[i % 2] for i, a in enumerate(al))
+    ax = AxialBasis(move(b.axial.alphas_i), move(b.axial.alphas_j),
+                    move(b.axial.alphas_k))
+    return BasisSpec(ax, b.angular, b.model, r0=r0)
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r0, r", [(0.1, 0.1), (0.1, 0.02), (0.2, 0.3)],
+                         ids=["r=r0", "r<r0", "r0=0.2"])
+def test_explicit_basis_matches_general_path(r0, r, model):
+    """Non-preset exponents, with r0 = 0.1 and not, and r equal to r0
+    and not: the family of the basis against the solve assembled at r."""
+    trion = _detuned("trion" + model, r0)
+    spec, basis = trion_spectrum(r, 0.5, "-", model, trion)
+    ref, ref_basis = general_trion(r, 0.5, "-", trion)
+    assert basis == ref_basis
+    assert spec.retained_dim == ref.retained_dim
+    assert spec.energies[0] == pytest.approx(ref.energies[0],
+                                             abs=CONTRACT_TOL)
+    assert trion_energy(r, 0.93, "+", model, trion) == pytest.approx(
+        general_trion(r, 0.93, "+", trion)[0].energies[0], abs=CONTRACT_TOL)
+    exciton = _detuned("exciton" + model, r0)
+    assert exciton_ground(r, model, exciton) == pytest.approx(
+        general_exciton(r, exciton)[0].energies[0], abs=CONTRACT_TOL)
+    hf = _detuned("hf" + model, r0)
+    _check_scf(scf(r, model, hf), r, hf)
+
+
+def test_explicit_basis_assembles_once_and_caches_nothing(monkeypatch):
+    """One explicit trion call assembles the potential once, at the
+    basis's own r0; `optimize` adds no preset family."""
+    quad = QuadratureSpec(outer_order=21)   # a quadrature no other test uses
+    calls = []
+
+    def counted(basis, r, q):
+        calls.append(r)
+        return assemble_potential(basis, r, q)
+    monkeypatch.setattr(solver, "assemble_potential", counted)
+    basis = _detuned("trion1d", 0.2)
+    trion_energy(0.07, 0.5, "-", "1d", basis, quad)
+    assert calls == [0.2]
+    cached = solver.preset_family.cache_info().currsize
+    for problem in ("exciton", "hf", "trion"):
+        optimize(problem, "1d", ((0.1, 1.0, 10.0),), max_steps=1, quad=quad)
+    assert solver.preset_family.cache_info().currsize == cached
 
 
 def test_sweep_assembles_each_preset_once(monkeypatch):
@@ -157,7 +224,7 @@ def _r_entry_points(r):
         lambda: scf(r, "1d", preset_basis("hf1d")),
         lambda: scale_exponents(b, r), lambda: coulomb_potential(1.0, 0.5, r),
         lambda: assemble_kinetic(b, 0.5, r), lambda: assemble_potential(b, r),
-        lambda: assemble_trion(b, r, 0.5), lambda: assemble_exciton(SMALL, r),
+        lambda: assemble_exciton(SMALL, r),
         lambda: repulsion_tensor((1.0,), r, 1),
     ]
 

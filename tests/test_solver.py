@@ -6,7 +6,6 @@ from scipy.sparse.linalg import eigsh
 
 from trionlab import AngularSet, AxialBasis, BasisSpec, binding_energy, \
     exciton_energy, preset_basis, solve_generalized, trion_energy
-from trionlab.assembly import assemble_trion
 from trionlab.basis import coulomb_potential
 from trionlab.solver import exciton_ground, trion_spectrum
 

@@ -8,7 +8,7 @@ from oracle_utils import brute_effective_masses
 from trionlab import ChiralIndex, TightBindingParams, effective_masses, \
     enumerate_species, fermi_velocity, is_semiconducting, radius
 from trionlab.tightbinding import DEFAULT_PARAMS, _fold, _lattice, \
-    graphene_band, subband_energies
+    cutting_lines, graphene_band, subband_energies
 
 
 def test_params_validation():
@@ -115,7 +115,7 @@ def test_band_edge_next_to_k_point():
     shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     for ch in enumerate_species(3.0, 15.0, p):
         em = effective_masses(ch, p)
-        _, _, K1, K2h, _, _ = _fold(ch, p)
+        K1, K2h, _, _ = _fold(ch, p)
         edge = em.subband * K1 + em.k_edge * K2h
         frac = np.linalg.solve(np.array([b1, b2]).T, edge)
         best = np.inf
@@ -129,7 +129,7 @@ def test_band_edge_next_to_k_point():
 
 def test_effective_masses_memory_independent_of_subbands():
     ch = ChiralIndex(36, 1)
-    assert _fold(ch, DEFAULT_PARAMS)[4] == 2666
+    assert cutting_lines(ch)[0] == 2666
     effective_masses(ch)    # scipy.optimize import outside the trace
     tracemalloc.start()
     try:
@@ -146,8 +146,7 @@ def test_gap_matches_subband_scan():
     ch = ChiralIndex(6, 5)
     em = effective_masses(ch)
     best = np.inf
-    from trionlab.tightbinding import _fold
-    _, _, _, _, N, Tlen = _fold(ch, DEFAULT_PARAMS)
+    N, Tlen = cutting_lines(ch)
     ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, 4001)
     for mu_idx in range(N):
         ec, ev = subband_energies(ch, mu_idx, ks)
