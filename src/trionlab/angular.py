@@ -8,8 +8,8 @@ outer integrals whose integrands are periodic integrals of the form
 for angular weights g built from the basis functions {1, |sin(theta/2)|}.
 Every weight needed here has a closed form in terms of scaled Bessel
 functions and the Dawson function, except one (the autocorrelation of
-|sin(theta/2)|) which is evaluated by fixed-order Gauss-Legendre
-quadrature on a smooth integrand.
+|sin(theta/2)|): its smooth remainder takes a fixed Gauss-Legendre rule
+on the points with q <= 200 and an asymptotic series in 1/q on the rest.
 """
 import math
 
@@ -65,20 +65,20 @@ _ASY_C = np.array([math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
                    * math.factorial(k) * 4.0 for k in _ASY_K])
 
 
-def _sincorr_tail_asymptotic(q):
-    x = 1.0 / q
-    out = 2.0 * np.pi ** 1.5 * np.sqrt(x)
-    return out - (_ASY_C * x[..., None] ** (_ASY_K + 1)).sum(axis=-1)
-
-
 def sincorr_weight(q):
-    """integral c(v) exp(-q sin^2(v/2)) dv with c the |sin| autocorrelation."""
+    """integral c(v) exp(-q sin^2(v/2)) dv with c the |sin| autocorrelation.
+
+    The remainder past 2 sin_weight(q) takes the Gauss-Legendre rule on
+    the points with q <= 200 and the asymptotic series on those with
+    q > 200; neither branch runs on the other's points.
+    """
     q = np.asarray(q, float)
     big = q > 200.0
-    qs = np.where(big, 1.0, q)
-    tail = 4.0 * np.exp(-qs[..., None] * _gs2) @ _gf
-    qb = np.where(big, q, 1.0)
-    tail = np.where(big, _sincorr_tail_asymptotic(qb), tail)
+    tail = np.empty_like(q)
+    tail[~big] = 4.0 * np.exp(-q[~big][:, None] * _gs2) @ _gf
+    x = 1.0 / q[big]
+    tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) \
+        - (_ASY_C * x[:, None] ** (_ASY_K + 1)).sum(axis=-1)
     return 2.0 * sin_weight(q) + tail
 
 
@@ -94,16 +94,16 @@ _T1 = {
     (1, 3): (4.0, sin_weight), (2, 2): (np.pi, flat_weight),
     (2, 3): (1.0, sincorr_weight), (3, 3): (np.pi, flat_weight),
 }
-# Coulomb factor on the relative angle t1 - t2.
-_T12 = {
-    (0, 0): (2.0 * np.pi, flat_weight), (0, 1): (4.0, flat_weight),
-    (0, 2): (4.0, flat_weight), (0, 3): (2.0 * np.pi, sin_weight),
-    (1, 1): (np.pi, flat_weight), (1, 2): (1.0, sincorr_weight),
-    (1, 3): (4.0, sin_weight), (2, 2): (np.pi, flat_weight),
-    (2, 3): (4.0, sin_weight), (3, 3): (2.0 * np.pi, sin2_weight),
-}
-# Swapping the two particles maps labels 1 <-> 2 and fixes 0, 3.
-_SWAP = (0, 2, 1, 3)
+# Label maps that carry channel 0 (factor on t1) into each channel: channel
+# 1 (factor on t2) swaps the particles, 1 <-> 2; channel 2 (factor on
+# t1 - t2) substitutes t1 -> t1 - t2, t2 -> -t2, which maps 1 <-> 3.
+CHANNEL_LABELS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1))
+
+
+def pair_entry(channel, l, lp):
+    """(coefficient, profile) with pair_weight = coefficient * profile(q)."""
+    m = CHANNEL_LABELS[channel]
+    return _T1[tuple(sorted((m[l], m[lp])))]
 
 
 def pair_weight(channel, l, lp, q):
@@ -114,15 +114,7 @@ def pair_weight(channel, l, lp, q):
     Labels l, lp are 0-based.  Result is the raw integral over
     [-pi, pi]^2 (no 1/(2 pi)^2 normalization).
     """
-    if channel == 1:
-        l, lp = _SWAP[l], _SWAP[lp]
-        tbl = _T1
-    elif channel == 0:
-        tbl = _T1
-    else:
-        tbl = _T12
-    key = (l, lp) if (l, lp) in tbl else (lp, l)
-    coef, prof = tbl[key]
+    coef, prof = pair_entry(channel, l, lp)
     return coef * prof(q)
 
 
@@ -132,16 +124,16 @@ def pair_weight(channel, l, lp, q):
 # cross-correlation of two such powers against exp(-q sin^2(v/2)).
 def power_corr_weight(p1, p2, q):
     """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2))."""
-    a0 = flat_weight(q)
     key = (min(p1, p2), max(p1, p2))
+    if key == (1, 1):
+        return sincorr_weight(q)
+    a0 = flat_weight(q)
     if key == (0, 0):
         return 2.0 * np.pi * a0
     if key == (0, 1):
         return 4.0 * a0
     if key == (0, 2):
         return np.pi * a0
-    if key == (1, 1):
-        return sincorr_weight(q)
     if key == (1, 2):
         # |s| (*) s^2 = 2 + (2/3) cos v
         return 2.0 * a0 + (2.0 / 3.0) * cos_weight(q)

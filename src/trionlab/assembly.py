@@ -14,7 +14,8 @@ from .basis import (ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, ANGULAR_OVERLAP,
                     AngularSet, axial_kernels, check_inputs, pair_kernels)
 from .quadrature import DEFAULT_QUAD, outer_rule
 
-SQPI = np.sqrt(np.pi)
+# Angular measure 1/(2 pi)^2 times the (4/sqrt(pi)) pi of the outer integral.
+_PREF = 1.0 / (4.0 * np.pi ** 2) * (4.0 / np.sqrt(np.pi)) * np.pi
 
 
 @dataclass(frozen=True)
@@ -85,21 +86,44 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
     return _flatten(K)
 
 
-# Third-axis pair sums per pass of `assemble_potential`: the presets have
-# at most 15 and run in one pass; larger bases (11 or more k exponents)
-# are split so the kernel temporaries stay bounded.
+# Third-axis pair sums per pass of `_channel`.  A pass holds q and up to
+# four cached profiles on p1 * p2 * _CHUNK * (outer nodes) points, plus
+# the 64-node Gauss-Legendre temporary of `sincorr_weight` on its points
+# with q <= 200.  The presets have at most 15 third-axis sums and run in
+# one pass; bases with 11 or more k exponents are split.
 _CHUNK = 64
 
 
 def _unique_pairs(al):
     """Unordered pair sums of one exponent list plus the scatter index."""
-    n = len(al)
-    iu, ju = np.triu_indices(n)
-    sums = al[iu] + al[ju]
-    back = np.empty((n, n), dtype=int)
-    back[iu, ju] = np.arange(len(iu))
-    back[ju, iu] = back[iu, ju]
-    return sums, back
+    iu, ju = np.triu_indices(len(al))
+    back = np.empty((len(al), len(al)), dtype=int)
+    back[iu, ju] = back[ju, iu] = np.arange(len(iu))
+    return al[iu] + al[ju], back
+
+
+def _channel(channel, Au, Bu, Cu, r, L, wts, sinh2):
+    """Signed, normalized integrals of one Coulomb channel on the grid of
+    unique pair sums, shape (p1, p2, p3, L, L).  Each distinct angular
+    profile is evaluated once per pass."""
+    Ap, Bp = Au[:, None, None], Bu[None, :, None]
+    sgn = 1.0 if channel == 2 else -1.0
+    out = np.empty((len(Au), len(Bu), len(Cu), L, L))
+    for c0 in range(0, len(Cu), _CHUNK):
+        Cs = Cu[None, None, c0:c0 + _CHUNK]
+        D = Ap * Bp + (Ap + Bp) * Cs
+        E = (Bp + Cs, Ap + Cs, Ap + Bp)[channel]
+        q = (4.0 * r * r * D / E)[..., None] * sinh2
+        pref, W = sgn * _PREF / np.sqrt(E), {}
+        blk = out[:, :, c0:c0 + _CHUNK]
+        for l in range(L):
+            for lp in range(l, L):
+                coef, prof = angular.pair_entry(channel, l, lp)
+                if prof not in W:
+                    W[prof] = prof(q)
+                blk[..., l, lp] = blk[..., lp, l] = \
+                    pref * ((coef * W[prof]) @ wts)
+    return out
 
 
 def assemble_potential(basis, r, quad=DEFAULT_QUAD):
@@ -107,46 +131,32 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
 
     Elements depend on the exponents only through the three pair sums,
     so the kernels are evaluated once per unordered pair combination and
-    scattered to the full matrix.  Chunking over the third pair axis
-    bounds memory for large bases.
+    scattered to the full matrix.  Channel 1 is channel 0 with the first
+    two pair axes swapped when alphas_i == alphas_j; its q arrays are then
+    bit-identical and so is U.  Channel 2 is minus channel 0 with the
+    first and third axes swapped when alphas_i == alphas_k; that reuse
+    rounds the pair-sum product D in another order, so U moves in the
+    last bits (up to about 4e-16 relative).  Both relabel the angular
+    factors by `angular.CHANNEL_LABELS`.
     """
     check_inputs(r)
     ai, aj, ak = _axial_arrays(basis)
-    n1, n2, n3 = len(ai), len(aj), len(ak)
     L = basis.angular.size
     _, wts, sinh2 = outer_rule(quad)
-    Au, ia = _unique_pairs(ai)
-    Bu, ib = _unique_pairs(aj)
-    Cu, ic = _unique_pairs(ak)
-    p1, p2, p3 = len(Au), len(Bu), len(Cu)
-    Ap = Au[:, None, None]
-    Bp = Bu[None, :, None]
-    norm = 1.0 / (4.0 * np.pi ** 2)
-    Uu = np.zeros((p1, p2, p3, L, L))
-    for c0 in range(0, p3, _CHUNK):
-        Cs = Cu[None, None, c0:c0 + _CHUNK]
-        sl = slice(c0, c0 + Cs.shape[2])
-        D = Ap * Bp + (Ap + Bp) * Cs
-        for channel, E, sgn in ((0, Bp + Cs, -1.0), (1, Ap + Cs, -1.0),
-                                (2, (Ap + Bp) * np.ones_like(Cs), +1.0)):
-            q = (4.0 * r * r * D / E)[..., None] * sinh2
-            pref = sgn * norm * (4.0 / SQPI) * np.pi / np.sqrt(E)
-            for l in range(L):
-                for lp in range(l, L):
-                    J = angular.pair_weight(channel, l, lp, q) @ wts
-                    Uu[:, :, sl, l, lp] += pref * J
-                    if lp != l:
-                        Uu[:, :, sl, lp, l] += pref * J
-    U = Uu[np.ix_(ia.ravel(), ib.ravel(), ic.ravel())]
-    U = U.reshape(n1, n1, n2, n2, n3, n3, L, L)
-    return _flatten(U)
+    (Au, ia), (Bu, ib), (Cu, ic) = map(_unique_pairs, (ai, aj, ak))
+    U = [_channel(0, Au, Bu, Cu, r, L, wts, sinh2)]
+    for channel, same, axes, sgn in ((1, aj, (1, 0, 2, 3, 4), 1.0),
+                                     (2, ak, (2, 1, 0, 3, 4), -1.0)):
+        m = np.array(angular.CHANNEL_LABELS[channel][:L])
+        U.append(sgn * U[0].transpose(axes)[..., m[:, None], m]
+                 if np.array_equal(ai, same) and m.max() < L else
+                 _channel(channel, Au, Bu, Cu, r, L, wts, sinh2))
+    Uu = U[0] + U[1] + U[2]
+    return _flatten(Uu[ia[:, :, None, None, None, None], ib[:, :, None, None],
+                       ic])
 
 
 # --- single-particle (electron-hole pair) problem ---------------------------
-_EX_PROFILES = {(0, 0): angular.flat_weight, (0, 1): angular.sin_weight,
-                (1, 1): angular.sin2_weight}
-
-
 def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     """Matrices of the relative electron-hole problem.
 
@@ -167,11 +177,9 @@ def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     U = np.zeros((n, L, n, L))
     for l in range(L):
         for lp in range(l, L):
-            W = _EX_PROFILES[(l, lp)](q)
-            J = W @ wts
-            blk = -(2.0 / np.pi) * J
-            U[:, l, :, lp] = blk
-            U[:, lp, :, l] = blk
+            # labels 0, 1 of channel 0 are this pair's {1, |sin(theta/2)|}
+            prof = angular.pair_entry(0, l, lp)[1]
+            U[:, l, :, lp] = U[:, lp, :, l] = -(2.0 / np.pi) * (prof(q) @ wts)
     return MatrixTriple(S, K, U.reshape(n * L, n * L))
 
 
@@ -180,27 +188,27 @@ def repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
     """<a c| V(x1-x2, t1-t2) |b d> over the single-particle basis.
 
     Orbitals a, b live on particle 1 and c, d on particle 2; returned
-    with composite indices [(a,la), (b,lb), (c,lc), (d,ld)].
+    with composite indices [(a,la), (b,lb), (c,lc), (d,ld)].  An element
+    depends on (a, b) and (c, d) only through the pair sums P and Q and
+    on the angular labels only through la+lb and lc+ld, so each profile
+    is evaluated once on the grid of unique (P, Q) and scattered.
     """
     check_inputs(r)
-    al = np.asarray(alphas, float)
-    n = len(al)
-    Q = al[:, None] + al[None, :]
+    Pu, ip = _unique_pairs(np.asarray(alphas, float))
+    P, Q = Pu[:, None], Pu[None, :]
     _, wts, sinh2 = outer_rule(quad)
-    norm = 1.0 / (4.0 * np.pi ** 2)
-    N = n * n_ang
-    V = np.zeros((n, n_ang, n, n_ang, n, n_ang, n, n_ang))  # a,la,b,lb,c,lc,d,ld
-    for a in range(n):
-        for b in range(n):
-            P = al[a] + al[b]
-            D = P * Q
-            E = P + Q
-            q = (4.0 * r * r * D / E)[..., None] * sinh2
-            pref = norm * (4.0 / SQPI) * np.pi / np.sqrt(E)
-            for la in range(n_ang):
-                for lb in range(n_ang):
-                    for lc in range(n_ang):
-                        for ld in range(n_ang):
-                            W = angular.power_corr_weight(la + lb, lc + ld, q)
-                            V[a, la, b, lb, :, lc, :, ld] = pref * (W @ wts)
+    E = P + Q
+    q = (4.0 * r * r * (P * Q) / E)[..., None] * sinh2
+    pref = _PREF / np.sqrt(E)
+    ns = 2 * n_ang - 1
+    J = np.empty((ns, ns, len(Pu), len(Pu)))
+    for s1 in range(ns):
+        for s2 in range(s1, ns):
+            J[s1, s2] = J[s2, s1] = \
+                pref * (angular.power_corr_weight(s1, s2, q) @ wts)
+    pair = ip[:, None, :, None]                      # (a, ., b, .)
+    lsum = np.add.outer(np.arange(n_ang), np.arange(n_ang))[None, :, None, :]
+    ex = (Ellipsis,) + (None,) * 4
+    V = J[lsum[ex], lsum, pair[ex], pair]            # a,la,b,lb,c,lc,d,ld
+    N = len(alphas) * n_ang
     return V.reshape(N, N, N, N)

@@ -2,19 +2,21 @@
 
 Everything here is deliberately brute-force: direct scipy quadrature of
 the defining integrals, with none of the closed-form reductions used by
-the package itself, a band-edge scan of every subband, and solves of
+the package itself, a band-edge scan of every subband, solves of
 matrices assembled at the radius of each point (the path that the
-families of `trionlab.solver` replaced).
+families of `trionlab.solver` replaced), and the Coulomb kernels as
+plain loops with one angular weight call per channel and label pair.
 """
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import k0e
 
+from trionlab import angular
 from trionlab.assembly import (MatrixTriple, assemble_exciton,
                                assemble_kinetic, assemble_overlap,
                                assemble_potential, repulsion_tensor)
 from trionlab.basis import AngularSet, scale_exponents
-from trionlab.quadrature import DEFAULT_QUAD
+from trionlab.quadrature import DEFAULT_QUAD, outer_rule
 from trionlab.solver import solve_generalized
 from trionlab.tightbinding import (DEFAULT_PARAMS, EffectiveMasses, _fold,
                                    graphene_band, is_semiconducting)
@@ -207,3 +209,71 @@ def general_scf(r, basis, mixing=0.5, tol=1e-8, max_iter=200,
             break
     VH = np.einsum("abcd,cd->ab", V4, np.outer(chi, chi))
     return 2.0 * eps - chi @ VH @ chi, chi, it
+
+
+# --- Coulomb kernels as plain loops ------------------------------------------
+def _pair_sums(al):
+    """Sums al[i] + al[j] for i <= j and the (n, n) index into them."""
+    n = len(al)
+    idx = np.zeros((n, n), dtype=int)
+    sums = []
+    for i in range(n):
+        for j in range(i, n):
+            idx[i, j] = idx[j, i] = len(sums)
+            sums.append(al[i] + al[j])
+    return np.array(sums), idx
+
+
+def loop_potential(basis, r, quad=DEFAULT_QUAD):
+    """The Coulomb matrix U of `assemble_potential`, one `pair_weight`
+    call per (channel, l, l') on the whole grid of unique pair sums: no
+    chunks, no cached profiles and no channel taken from another."""
+    ax = basis.axial
+    L = basis.angular.size
+    (Au, ia), (Bu, ib), (Cu, ic) = (_pair_sums(np.asarray(a, float))
+                                    for a in (ax.alphas_i, ax.alphas_j,
+                                              ax.alphas_k))
+    _, wts, sinh2 = outer_rule(quad)
+    A, B, C = Au[:, None, None], Bu[None, :, None], Cu[None, None, :]
+    D = A * B + (A + B) * C
+    norm = 1.0 / (4.0 * np.pi ** 2)
+    Uu = np.zeros((len(Au), len(Bu), len(Cu), L, L))
+    for channel, E, sgn in ((0, B + C, -1.0), (1, A + C, -1.0),
+                            (2, (A + B) * np.ones_like(C), +1.0)):
+        q = (4.0 * r * r * D / E)[..., None] * sinh2
+        pref = sgn * norm * (4.0 / np.sqrt(np.pi)) * np.pi / np.sqrt(E)
+        for l in range(L):
+            for lp in range(L):
+                J = angular.pair_weight(channel, l, lp, q) @ wts
+                Uu[..., l, lp] += pref * J
+    n1, n2, n3 = len(ax.alphas_i), len(ax.alphas_j), len(ax.alphas_k)
+    U = Uu[np.ix_(ia.ravel(), ib.ravel(), ic.ravel())]
+    U = U.reshape(n1, n1, n2, n2, n3, n3, L, L)
+    N = n1 * n2 * n3 * L
+    return U.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(N, N)
+
+
+def loop_repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
+    """The tensor of `repulsion_tensor`, one `power_corr_weight` call per
+    (a, b) and (la, lb, lc, ld)."""
+    al = np.asarray(alphas, float)
+    n = len(al)
+    Q = al[:, None] + al[None, :]
+    _, wts, sinh2 = outer_rule(quad)
+    norm = 1.0 / (4.0 * np.pi ** 2)
+    N = n * n_ang
+    V = np.zeros((n, n_ang, n, n_ang, n, n_ang, n, n_ang))
+    for a in range(n):
+        for b in range(n):
+            P = al[a] + al[b]
+            D = P * Q
+            E = P + Q
+            q = (4.0 * r * r * D / E)[..., None] * sinh2
+            pref = norm * (4.0 / np.sqrt(np.pi)) * np.pi / np.sqrt(E)
+            for la in range(n_ang):
+                for lb in range(n_ang):
+                    for lc in range(n_ang):
+                        for ld in range(n_ang):
+                            W = angular.power_corr_weight(la + lb, lc + ld, q)
+                            V[a, la, b, lb, :, lc, :, ld] = pref * (W @ wts)
+    return V.reshape(N, N, N, N)

@@ -5,7 +5,11 @@ from scipy.integrate import quad
 
 from trionlab import angular
 
-QVALS = [0.0, 1e-6, 0.01, 0.3, 1.0, 4.7, 25.0, 199.0, 400.0, 2.5e4]
+# 200 is where sincorr_weight switches from its Gauss-Legendre branch
+# (q <= 200) to its asymptotic branch.
+QVALS = [0.0, 1e-6, 0.01, 0.3, 1.0, 4.7, 25.0, 199.0,
+         float(np.nextafter(200.0, 0.0)), 200.0,
+         float(np.nextafter(200.0, np.inf)), 400.0, 2.5e4]
 
 
 def ring_integral(g, q):
@@ -104,7 +108,23 @@ def test_power_corr_weight_invalid():
 
 
 def test_weights_vectorized_shape():
+    """Arrays, Python scalars, 0-d and empty arrays, on both sides of the
+    sincorr_weight branch switch.  Values match one array holding every
+    point to a few ulps: the Gauss-Legendre dot product of sincorr_weight
+    may round the last bit differently with the number of points on its
+    branch."""
     q = np.linspace(0.0, 10.0, 7).reshape(7, 1) * np.ones((1, 3))
+    qs = [0.5, 200.0, 350.0]
     for fn in (angular.flat_weight, angular.sin_weight, angular.sin2_weight,
                angular.cos_weight, angular.sincorr_weight):
         assert fn(q).shape == q.shape
+        ref = fn(np.array(qs))
+        for i, qi in enumerate(qs):
+            for arg in (qi, np.asarray(qi)):
+                assert np.shape(fn(arg)) == ()
+                assert fn(arg) == pytest.approx(ref[i], rel=1e-15, abs=0)
+        for shape in ((0,), (2, 0)):
+            assert fn(np.empty(shape)).shape == shape
+        mixed = fn(np.array(qs[::-1] * 2).reshape(2, 3))
+        np.testing.assert_allclose(mixed, np.tile(ref[::-1], (2, 1)),
+                                   rtol=1e-15, atol=0)

@@ -2,16 +2,33 @@
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from oracle_utils import assemble_trion, brute_repulsion_element, \
-    brute_trion_element
-from trionlab import AngularSet, AxialBasis, BasisSpec, preset_basis, \
-    scale_exponents
-from trionlab.assembly import assemble_exciton, assemble_kinetic, \
+    brute_trion_element, loop_potential, loop_repulsion_tensor
+from trionlab import AngularSet, AxialBasis, BasisSpec, angular, \
+    preset_basis, scale_exponents
+from trionlab.assembly import _CHUNK, assemble_exciton, assemble_kinetic, \
     assemble_overlap, assemble_potential, mixing_weight, repulsion_tensor
 from trionlab.quadrature import DEFAULT_QUAD
 
 SMALL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7), (0.09, 1.2)),
                   AngularSet.FULL4, "2d")
+# 66 third-axis pair sums: more than one pass of the potential kernel.
+CHUNKED = BasisSpec(AxialBasis((0.3, 2.1), (0.3, 2.1),
+                               tuple(0.05 * 2.0 ** k for k in range(11))),
+                    AngularSet.FULL4, "2d")
+# alphas_i == alphas_k with four angular labels (no preset has both).
+IK_EQUAL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7, 6.0), (0.3, 2.1)),
+                     AngularSet.FULL4, "2d")
+# Two labels: the particle swap leaves the set, so no channel is reused.
+TWO_LABELS = BasisSpec(AxialBasis((0.3, 2.1), (0.3, 2.1), (0.3, 2.1)),
+                       AngularSet.EXCITON_PAIR, "2d")
+KERNEL_BASES = {"trion1d": preset_basis("trion1d"),
+                "trion2d": preset_basis("trion2d"), "small": SMALL,
+                "chunked": CHUNKED, "ik_equal": IK_EQUAL,
+                "two_labels": TWO_LABELS}
+KERNEL_QUADS = {"default": DEFAULT_QUAD, "refined": DEFAULT_QUAD.refined()}
 
 
 def _index(basis, i, j, k, l):
@@ -177,3 +194,79 @@ def test_scaling_identity():
     K0 = assemble_kinetic(b0, 0.0, 1e6)
     K = assemble_kinetic(b, 0.0, 1e6)
     assert np.allclose(K, K0, rtol=1e-9)
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_chunked_basis_takes_more_than_one_pass():
+    n = len(CHUNKED.axial.alphas_k)
+    assert n * (n + 1) // 2 > _CHUNK
+
+
+@pytest.mark.parametrize("quad", list(KERNEL_QUADS))
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3])
+@pytest.mark.parametrize("name", list(KERNEL_BASES))
+def test_potential_matches_loop_oracle(name, r, quad):
+    b, q = KERNEL_BASES[name], KERNEL_QUADS[quad]
+    assert _rel(assemble_potential(b, r, q), loop_potential(b, r, q)) < 1e-12
+
+
+@pytest.mark.parametrize("quad", list(KERNEL_QUADS))
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3])
+@pytest.mark.parametrize("name", ["hf1d", "hf2d", "small"])
+def test_repulsion_tensor_matches_loop_oracle(name, r, quad):
+    if name == "small":
+        alphas, n_ang = SMALL.axial.alphas_i, 2
+    else:
+        b = preset_basis(name)
+        alphas, n_ang = b.axial.alphas_i, b.angular.size
+    q = KERNEL_QUADS[quad]
+    assert _rel(repulsion_tensor(alphas, r, n_ang, q),
+                loop_repulsion_tensor(alphas, r, n_ang, q)) < 1e-12
+
+
+_PROFILES = ("flat_weight", "sin_weight", "sin2_weight", "cos_weight",
+             "sincorr_weight")
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Counts calls of every angular profile, wrapped wherever the package
+    looks one up: the module attributes and the channel table."""
+    calls = Counter()
+    wrapped = {}
+    for name in _PROFILES:
+        fn = getattr(angular, name)
+
+        def counted(q, fn=fn, name=name):
+            calls[name] += 1
+            return fn(q)
+        wrapped[fn] = counted
+        monkeypatch.setattr(angular, name, counted)
+    for key, (coef, fn) in list(angular._T1.items()):
+        monkeypatch.setitem(angular._T1, key, (coef, wrapped[fn]))
+    return calls
+
+
+def test_potential_evaluates_each_profile_once_per_channel(profile_calls):
+    """trion2d computes channels 0 and 2 (channel 1 is channel 0 with the
+    particles swapped); trion1d computes channel 0 alone."""
+    assemble_potential(preset_basis("trion2d"), 0.1)
+    for name in ("flat_weight", "sin2_weight", "sincorr_weight"):
+        assert profile_calls[name] == 2, name
+    profile_calls.clear()
+    assemble_potential(preset_basis("trion1d"), 0.1)
+    assert profile_calls == Counter(flat_weight=1)
+
+
+def test_repulsion_tensor_evaluates_profiles_once_per_call(profile_calls):
+    """Seven exponents cost as many profile calls as two: none is made per
+    orbital pair (a, b)."""
+    repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.1, 2)
+    assert profile_calls["sincorr_weight"] == 1
+    hf2d_calls = profile_calls.copy()
+    profile_calls.clear()
+    repulsion_tensor((0.4, 2.5), 0.1, 2)
+    assert profile_calls == hf2d_calls
