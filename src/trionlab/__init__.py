@@ -2,31 +2,34 @@
 
 Pipeline: tight-binding effective masses -> effective Rydberg/Bohr units
 -> variational (or mean-field) solution of the cylinder-surface few-body
-problem in a Gaussian x angular basis.
+problem in a Gaussian x angular basis.  Public names load from their
+submodules on first access (PEP 562): `import trionlab` loads no numerics.
 """
+import importlib
+
 __version__ = "0.1.0"
 
-from .basis import (AngularSet, AxialBasis, BasisSpec, coulomb_potential,
-                    preset_basis, scale_exponents)
-from .hartree_fock import HFState, hf_binding_energy, scf
-from .optimizer import OptimizationRun, optimize
-from .quadrature import QuadratureSpec
-from .solver import (Spectrum, TrionResult, binding_energy, exciton_energy,
-                     solve_generalized, trion_energy)
-from .tightbinding import (ChiralIndex, EffectiveMasses, TightBindingParams,
-                           effective_masses, enumerate_species,
-                           fermi_velocity, is_semiconducting, radius)
-from .units import (EffectiveUnits, Environment, dimensionless_radius,
-                    effective_units, to_physical_energy)
+_HOMES = {
+    "basis": ("AngularSet", "AxialBasis", "BasisSpec", "coulomb_potential",
+              "preset_basis", "scale_exponents"),
+    "hartree_fock": ("HFState", "hf_binding_energy", "scf"),
+    "optimizer": ("OptimizationRun", "optimize"),
+    "quadrature": ("QuadratureSpec",),
+    "solver": ("Spectrum", "TrionResult", "binding_energy", "exciton_energy",
+               "solve_generalized", "trion_energy"),
+    "tightbinding": ("ChiralIndex", "EffectiveMasses", "TightBindingParams",
+                     "effective_masses", "enumerate_species",
+                     "fermi_velocity", "is_semiconducting", "radius"),
+    "units": ("EffectiveUnits", "Environment", "dimensionless_radius",
+              "effective_units", "to_physical_energy"),
+}
+_HOME = {name: mod for mod, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 
-__all__ = [
-    "AngularSet", "AxialBasis", "BasisSpec", "ChiralIndex",
-    "EffectiveMasses", "EffectiveUnits", "Environment", "HFState",
-    "OptimizationRun", "QuadratureSpec", "Spectrum", "TightBindingParams",
-    "TrionResult", "binding_energy", "coulomb_potential",
-    "dimensionless_radius", "effective_masses", "effective_units",
-    "enumerate_species", "exciton_energy", "fermi_velocity",
-    "hf_binding_energy", "is_semiconducting", "optimize", "preset_basis",
-    "radius", "scale_exponents", "scf", "solve_generalized",
-    "to_physical_energy", "trion_energy",
-]
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -43,7 +43,7 @@ def sin2_weight(q):
 
 def cos_weight(q):
     """integral cos(t) exp(-q sin^2(t/2)) dt (= flat - 2 sin2)."""
-    return flat_weight(q) - 2.0 * sin2_weight(q)
+    return shared_profile(cos_weight, q, {})
 
 
 # Autocorrelation of |sin(t/2)|: c(v) = 2 sin(|v|/2) + (pi - |v|) cos(v/2).
@@ -65,13 +65,9 @@ _ASY_C = np.array([math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
                    * math.factorial(k) * 4.0 for k in _ASY_K])
 
 
-def sincorr_weight(q):
-    """integral c(v) exp(-q sin^2(v/2)) dv with c the |sin| autocorrelation.
-
-    The remainder past 2 sin_weight(q) takes the Gauss-Legendre rule on
-    the points with q <= 200 and the asymptotic series on those with
-    q > 200; neither branch runs on the other's points.
-    """
+def _sincorr_tail(q):
+    """sincorr_weight - 2 sin_weight: Gauss-Legendre on the points with
+    q <= 200, the asymptotic series on the others (never both)."""
     q = np.asarray(q, float)
     big = q > 200.0
     tail = np.empty_like(q)
@@ -79,7 +75,29 @@ def sincorr_weight(q):
     x = 1.0 / q[big]
     tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) \
         - (_ASY_C * x[:, None] ** (_ASY_K + 1)).sum(axis=-1)
-    return 2.0 * sin_weight(q) + tail
+    return tail
+
+
+def sincorr_weight(q):
+    """integral c(v) exp(-q sin^2(v/2)) dv with c the |sin| autocorrelation
+    (= 2 sin + tail)."""
+    return shared_profile(sincorr_weight, q, {})
+
+
+def shared_profile(prof, q, memo):
+    """prof(q), kept in `memo` (profile -> values on this q) so that each
+    closed form is evaluated once per q.  cos_weight and sincorr_weight are
+    the sums written here, of the profile values already in `memo`."""
+    if prof not in memo:
+        if prof is cos_weight:
+            memo[prof] = shared_profile(flat_weight, q, memo) \
+                - 2.0 * shared_profile(sin2_weight, q, memo)
+        elif prof is sincorr_weight:
+            memo[prof] = 2.0 * shared_profile(sin_weight, q, memo) \
+                + _sincorr_tail(q)
+        else:
+            memo[prof] = prof(q)
+    return memo[prof]
 
 
 # --- two-particle angular weight tables -------------------------------------
@@ -122,12 +140,14 @@ def pair_weight(channel, l, lp, q):
 # Products of the one-particle angular set {1, |sin(t/2)|} give powers
 # |sin(t/2)|^p with p in {0, 1, 2}.  The repulsion element needs the
 # cross-correlation of two such powers against exp(-q sin^2(v/2)).
-def power_corr_weight(p1, p2, q):
-    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2))."""
+def power_corr_weight(p1, p2, q, memo=None):
+    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2));
+    calls that pass one `memo` share the profiles on q (`shared_profile`)."""
     key = (min(p1, p2), max(p1, p2))
+    memo = {} if memo is None else memo
     if key == (1, 1):
-        return sincorr_weight(q)
-    a0 = flat_weight(q)
+        return shared_profile(sincorr_weight, q, memo)
+    a0 = shared_profile(flat_weight, q, memo)
     if key == (0, 0):
         return 2.0 * np.pi * a0
     if key == (0, 1):
@@ -136,8 +156,9 @@ def power_corr_weight(p1, p2, q):
         return np.pi * a0
     if key == (1, 2):
         # |s| (*) s^2 = 2 + (2/3) cos v
-        return 2.0 * a0 + (2.0 / 3.0) * cos_weight(q)
+        return 2.0 * a0 + (2.0 / 3.0) * shared_profile(cos_weight, q, memo)
     if key == (2, 2):
         # s^2 (*) s^2 = pi/2 + (pi/4) cos v
-        return (np.pi / 2.0) * a0 + (np.pi / 4.0) * cos_weight(q)
+        return (np.pi / 2.0) * a0 \
+            + (np.pi / 4.0) * shared_profile(cos_weight, q, memo)
     raise ValueError(f"invalid angular powers ({p1}, {p2})")

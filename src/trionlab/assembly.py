@@ -119,10 +119,8 @@ def _channel(channel, Au, Bu, Cu, r, L, wts, sinh2):
         for l in range(L):
             for lp in range(l, L):
                 coef, prof = angular.pair_entry(channel, l, lp)
-                if prof not in W:
-                    W[prof] = prof(q)
                 blk[..., l, lp] = blk[..., lp, l] = \
-                    pref * ((coef * W[prof]) @ wts)
+                    pref * ((coef * angular.shared_profile(prof, q, W)) @ wts)
     return out
 
 
@@ -201,11 +199,11 @@ def repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
     q = (4.0 * r * r * (P * Q) / E)[..., None] * sinh2
     pref = _PREF / np.sqrt(E)
     ns = 2 * n_ang - 1
-    J = np.empty((ns, ns, len(Pu), len(Pu)))
+    J, W = np.empty((ns, ns, len(Pu), len(Pu))), {}
     for s1 in range(ns):
         for s2 in range(s1, ns):
             J[s1, s2] = J[s2, s1] = \
-                pref * (angular.power_corr_weight(s1, s2, q) @ wts)
+                pref * (angular.power_corr_weight(s1, s2, q, W) @ wts)
     pair = ip[:, None, :, None]                      # (a, ., b, .)
     lsum = np.add.outer(np.arange(n_ang), np.arange(n_ang))[None, :, None, :]
     ex = (Ellipsis,) + (None,) * 4

@@ -1,36 +1,23 @@
-"""Command-line interface: dispatch, config files, CSV/JSON output, cache."""
+"""Command-line interface: dispatch, config files, CSV/JSON output, cache.
+
+Handlers import the numerics they use and run only on a cache miss.
+"""
 import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import __version__, analysis
-from . import tightbinding as tb
-from .basis import preset_basis
+from . import __version__
 from .cache import ResultCache, config_key
-from .hartree_fock import hf_binding_energy
-from .optimizer import optimize
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .solver import binding_energy, exciton_ground, trion_spectrum
-from .units import Environment, to_physical_energy
 
 
 def _pyify(obj):
-    """Recursively convert numpy scalars/arrays to plain Python types."""
+    """Recursively convert numpy scalars/arrays (`tolist`) to plain Python."""
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
+    return obj.tolist() if hasattr(obj, "tolist") else obj
 
 
 def _fmt(value):
@@ -57,6 +44,7 @@ def emit(metadata, rows, fmt, stream):
 
 
 def parse_chirality(text):
+    from . import tightbinding as tb
     try:
         n, m = (int(p) for p in text.split(","))
         return tb.ChiralIndex(n, m)
@@ -65,6 +53,7 @@ def parse_chirality(text):
 
 
 def _tb_params(args):
+    from . import tightbinding as tb
     return tb.TightBindingParams(t=args.t, s=args.s, a=args.a)
 
 
@@ -74,10 +63,11 @@ def _quad(args):
 
 def _context(args):
     """Resolve (r in a_B*, sigma, units or None) from CLI inputs."""
+    from . import analysis, units
     if args.chirality:
         ch = parse_chirality(args.chirality)
         masses, u, _, r = analysis.species_units(
-            ch, Environment(args.epsilon), _tb_params(args))
+            ch, units.Environment(args.epsilon), _tb_params(args))
         sigma = args.sigma if args.sigma is not None else masses.sigma
         return r, sigma, u
     if args.radius is None:
@@ -87,6 +77,7 @@ def _context(args):
 
 # --- subcommand handlers (return metadata, rows) ----------------------------
 def cmd_masses(args):
+    from . import tightbinding as tb
     ch = parse_chirality(args.chirality)
     masses = tb.effective_masses(ch, _tb_params(args))
     rows = [{"n": ch.n, "m": ch.m, "r_A": tb.radius(ch, _tb_params(args)),
@@ -97,40 +88,44 @@ def cmd_masses(args):
 
 
 def cmd_bands(args):
+    import numpy as np
+    from . import tightbinding as tb
     ch = parse_chirality(args.chirality)
     p = _tb_params(args)
     N, Tlen = tb.cutting_lines(ch, p)
     ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, args.points)
-    rows = []
-    for mu_idx in range(N):
-        ec, ev = tb.subband_energies(ch, mu_idx, ks, p)
-        for k, c, v in zip(ks, ec, ev):
-            rows.append({"subband": mu_idx, "k_invA": k, "E_c_eV": c,
-                         "E_v_eV": v})
+    rows = [{"subband": mu, "k_invA": k, "E_c_eV": c, "E_v_eV": v}
+            for mu in range(N)
+            for k, c, v in zip(ks, *tb.subband_energies(ch, mu, ks, p))]
     return {"subbands": N}, rows
 
 
 def cmd_exciton(args):
+    from . import solver, units
     r, _, u = _context(args)
-    e_x = -exciton_ground(r, args.model, quad=_quad(args))
+    e_x = -solver.exciton_ground(r, args.model, quad=_quad(args))
     row = {"r_aB": r, "model": args.model, "E_X_Ry": e_x}
     if u is not None:
-        row["E_X_meV"] = to_physical_energy(e_x, u) * 1e3
+        row["E_X_meV"] = units.to_physical_energy(e_x, u) * 1e3
     return {}, [row]
 
 
 def cmd_trion(args):
+    from . import solver, units
     r, sigma, u = _context(args)
-    res = binding_energy(r, sigma, args.charge, args.model, quad=_quad(args))
+    res = solver.binding_energy(r, sigma, args.charge, args.model,
+                                quad=_quad(args))
     row = {"r_aB": r, "sigma": sigma, "model": args.model,
            "charge": args.charge, "E_X_Ry": res.E_X, "E_T_Ry": res.E_T,
            "E_B_Ry": res.E_B}
     if u is not None:
-        row["E_B_meV"] = to_physical_energy(res.E_B, u) * 1e3
+        row["E_B_meV"] = units.to_physical_energy(res.E_B, u) * 1e3
     return {}, [row]
 
 
 def cmd_hf(args):
+    from .hartree_fock import hf_binding_energy
+    from .units import to_physical_energy
     r, _, u = _context(args)
     res, state = hf_binding_energy(r, args.model, quad=_quad(args))
     row = {"r_aB": r, "model": args.model, "E_X_Ry": res.E_X,
@@ -142,14 +137,12 @@ def cmd_hf(args):
 
 
 def cmd_optimize(args):
-    preset = preset_basis(args.problem + args.model)
-    ax = preset.axial
-    if args.problem == "trion" and args.model == "2d":
-        initial = (ax.alphas_i, ax.alphas_k)
-    else:
-        initial = (ax.alphas_i,)
-    run = optimize(args.problem, args.model, initial, r0=args.r0,
-                   max_steps=args.max_steps, quad=_quad(args))
+    from . import basis, optimizer
+    ax = basis.preset_basis(args.problem + args.model).axial
+    initial = ((ax.alphas_i, ax.alphas_k)
+               if args.problem + args.model == "trion2d" else (ax.alphas_i,))
+    run = optimizer.optimize(args.problem, args.model, initial, r0=args.r0,
+                             max_steps=args.max_steps, quad=_quad(args))
     rows = [{"step": i, "objective_Ry": e} for i, e in enumerate(run.history)]
     meta = {"converged": run.converged, "accepted": run.accepted,
             "rejected": run.rejected,
@@ -158,41 +151,44 @@ def cmd_optimize(args):
 
 
 def cmd_probability(args):
+    from . import analysis, solver
     r, sigma, _ = _context(args)
     quad = _quad(args)
     if args.kind == "exciton":
-        from .solver import exciton_spectrum
-        spec, basis = exciton_spectrum(r, args.model, quad=quad)
+        spec, basis = solver.exciton_spectrum(r, args.model, quad=quad)
         grid = analysis.exciton_probability(spec, basis, args.grid, r=r)
         rows = [{"theta": t, "P": v}
                 for t, v in zip(grid.theta, grid.values)]
         return {"kind": "exciton"}, rows
-    spec, basis = trion_spectrum(r, sigma, "-", args.model, quad=quad)
+    spec, basis = solver.trion_spectrum(r, sigma, "-", args.model, quad=quad)
     grid = analysis.trion_probability(spec, basis, args.grid, r=r)
-    rows = []
-    for i, t1 in enumerate(grid.theta):
-        for j, t2 in enumerate(grid.theta):
-            rows.append({"theta1": t1, "theta2": t2,
-                         "P": grid.values[i, j]})
+    rows = [{"theta1": t1, "theta2": t2, "P": grid.values[i, j]}
+            for i, t1 in enumerate(grid.theta)
+            for j, t2 in enumerate(grid.theta)]
     return {"kind": "trion"}, rows
 
 
 def cmd_sweep_radius(args):
+    import numpy as np
+    from . import analysis
     grid = np.linspace(args.start, args.stop, args.points)
-    rows = analysis.sweep_radius(grid, sigmas=(args.sigma or 0.0,),
-                                 models=tuple(args.models.split(",")),
-                                 methods=tuple(args.methods.split(",")),
-                                 quad=_quad(args))
-    return {}, rows
+    return {}, analysis.sweep_radius(grid, sigmas=(args.sigma or 0.0,),
+                                     models=tuple(args.models.split(",")),
+                                     methods=tuple(args.methods.split(",")),
+                                     quad=_quad(args))
 
 
 def cmd_sweep_sigma(args):
+    import numpy as np
+    from . import analysis
     grid = np.linspace(args.start, args.stop, args.points)
-    rows = analysis.sweep_sigma(args.radius, grid, args.model, _quad(args))
-    return {}, rows
+    return {}, analysis.sweep_sigma(args.radius, grid, args.model,
+                                    _quad(args))
 
 
 def cmd_sweep_epsilon(args):
+    import numpy as np
+    from . import analysis
     ch = parse_chirality(args.chirality)
     grid = np.linspace(args.start, args.stop, args.points)
     rows, eb_fit, ex_fit = analysis.sweep_epsilon(ch, grid, _tb_params(args),
@@ -204,8 +200,9 @@ def cmd_sweep_epsilon(args):
 
 
 def cmd_sweep_species(args):
+    from . import analysis, units
     rows = analysis.sweep_species(args.rmin, args.rmax,
-                                  Environment(args.epsilon),
+                                  units.Environment(args.epsilon),
                                   _tb_params(args), quad=_quad(args))
     return {"species": len(rows)}, rows
 

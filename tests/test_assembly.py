@@ -228,7 +228,7 @@ def test_repulsion_tensor_matches_loop_oracle(name, r, quad):
 
 
 _PROFILES = ("flat_weight", "sin_weight", "sin2_weight", "cos_weight",
-             "sincorr_weight")
+             "sincorr_weight", "_sincorr_tail")
 
 
 @pytest.fixture
@@ -252,20 +252,23 @@ def profile_calls(monkeypatch):
 
 def test_potential_evaluates_each_profile_once_per_channel(profile_calls):
     """trion2d computes channels 0 and 2 (channel 1 is channel 0 with the
-    particles swapped); trion1d computes channel 0 alone."""
+    particles swapped); trion1d computes channel 0 alone.  sincorr_weight
+    is formed from the channel's own sin_weight plus its tail."""
     assemble_potential(preset_basis("trion2d"), 0.1)
-    for name in ("flat_weight", "sin2_weight", "sincorr_weight"):
+    for name in ("flat_weight", "sin2_weight", "sin_weight", "_sincorr_tail"):
         assert profile_calls[name] == 2, name
+    assert profile_calls["sincorr_weight"] == 0
     profile_calls.clear()
     assemble_potential(preset_basis("trion1d"), 0.1)
     assert profile_calls == Counter(flat_weight=1)
 
 
 def test_repulsion_tensor_evaluates_profiles_once_per_call(profile_calls):
-    """Seven exponents cost as many profile calls as two: none is made per
-    orbital pair (a, b)."""
+    """Each profile runs once per call, whatever the number of (a, b)
+    pairs: seven exponents cost as many profile calls as two."""
     repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.1, 2)
-    assert profile_calls["sincorr_weight"] == 1
+    assert profile_calls == Counter(flat_weight=1, sin2_weight=1,
+                                    sin_weight=1, _sincorr_tail=1)
     hf2d_calls = profile_calls.copy()
     profile_calls.clear()
     repulsion_tensor((0.4, 2.5), 0.1, 2)

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from trionlab import cli
 from trionlab.cli import run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
@@ -51,10 +52,8 @@ def _load():
         return {tuple(entry["argv"]): entry for entry in json.load(fh)}
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a))
-def test_cli_matches_golden(argv):
+def _check_golden(argv, got):
     want = _load()[tuple(argv)]
-    got = _output(argv)
     assert got["metadata"].keys() == want["metadata"].keys()
     for key, value in want["metadata"].items():
         assert _same(value, got["metadata"][key]), key
@@ -63,6 +62,36 @@ def test_cli_matches_golden(argv):
         assert list(g) == list(w), i
         for key in w:
             assert _same(w[key], g[key]), (i, key)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: " ".join(a))
+def test_cli_matches_golden(argv):
+    _check_golden(argv, _output(argv))
+
+
+def _text(argv):
+    out = io.StringIO()
+    assert run(argv, stdout=out) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt, other", [("csv", "json"), ("json", "csv")])
+@pytest.mark.parametrize("argv", [COMMANDS[i] for i in (0, 1, 2, 8)],
+                         ids=lambda a: " ".join(a))
+def test_cache_hit_bytes_match_miss(argv, fmt, other, tmp_path, monkeypatch):
+    """A hit writes the bytes of the miss before it, in the miss's format,
+    and of an uncached run in the other format; the JSON still matches the
+    golden record."""
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    miss = _text(cached + ["--format", fmt])
+    monkeypatch.setattr(cli, "HANDLERS", {})     # from here on, hits only
+    assert _text(cached + ["--format", fmt]) == miss
+    hit = _text(cached + ["--format", other])
+    monkeypatch.undo()
+    assert hit == _text(argv + ["--format", other, "--no-cache"])
+    doc = json.loads(miss if fmt == "json" else hit)
+    doc["metadata"].pop("config_hash")
+    _check_golden(argv, doc)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Families against solves assembled at r, the radius identities they
 rest on, and the input and bound-state checks of every entry point."""
+import importlib
 import os
 import subprocess
 import sys
@@ -156,14 +157,78 @@ def test_sweep_assembles_each_preset_once(monkeypatch):
     assert calls == [preset_basis("trion1d").r0]
 
 
-def test_nothing_assembled_or_scipy_linalg_loaded_at_import():
+def _imported(args):
+    """stdout of `python -X importtime <args>` and the modules it imported."""
+    src = os.path.dirname(os.path.dirname(trionlab.__file__))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, check=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=src))
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:") and "|" in line}
+    return proc.stdout, names - {"imported package"}
+
+
+def _numerics(names, prefixes=("numpy", "scipy")):
+    return sorted(n for n in names if n.split(".")[0] in prefixes)
+
+
+def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
+    """Importing the package or the CLI assembles nothing and loads no
+    scipy solver; a bare `import trionlab` and a warm cache hit load no
+    numerics at all, and a cold `bands` run loads no scipy."""
     code = ("import sys, trionlab.cli, trionlab.solver as s; "
             "assert s.preset_family.cache_info().currsize == 0; "
             "assert 'scipy.optimize' not in sys.modules; "
             "assert 'scipy.linalg' not in sys.modules")
-    src = os.path.dirname(os.path.dirname(trionlab.__file__))
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env=dict(os.environ, PYTHONPATH=src))
+    _imported(["-c", code])
+    assert _numerics(_imported(["-c", "import trionlab"])[1]) == []
+    argv = ["-m", "trionlab.cli", "trion", "--radius", "0.1", "--model", "1d",
+            "--cache-dir", str(tmp_path)]
+    cold, names = _imported(argv)
+    assert "scipy.special" in names
+    warm, names = _imported(argv)
+    assert warm == cold
+    assert _numerics(names) == []
+    _, names = _imported(["-m", "trionlab.cli", "bands", "--chirality", "4,2",
+                          "--points", "5", "--no-cache"])
+    assert "numpy" in names
+    assert _numerics(names, ("scipy",)) == []
+
+
+PUBLIC = {
+    "basis": ("AngularSet", "AxialBasis", "BasisSpec", "coulomb_potential",
+              "preset_basis", "scale_exponents"),
+    "hartree_fock": ("HFState", "hf_binding_energy", "scf"),
+    "optimizer": ("OptimizationRun", "optimize"),
+    "quadrature": ("QuadratureSpec",),
+    "solver": ("Spectrum", "TrionResult", "binding_energy", "exciton_energy",
+               "solve_generalized", "trion_energy"),
+    "tightbinding": ("ChiralIndex", "EffectiveMasses", "TightBindingParams",
+                     "effective_masses", "enumerate_species",
+                     "fermi_velocity", "is_semiconducting", "radius"),
+    "units": ("EffectiveUnits", "Environment", "dimensionless_radius",
+              "effective_units", "to_physical_energy"),
+}
+
+
+def test_public_names_resolve_to_their_submodules():
+    """Every name of `__all__` is the object of its submodule, a star
+    import binds them all, submodules still import through `from`, and
+    an unknown name raises AttributeError."""
+    homes = {n: mod for mod, names in PUBLIC.items() for n in names}
+    assert sorted(trionlab.__all__) == sorted(homes)
+    for name, mod in homes.items():
+        sub = importlib.import_module("trionlab." + mod)
+        assert getattr(trionlab, name) is getattr(sub, name), name
+    scope = {}
+    exec("from trionlab import *", scope)
+    assert {n: scope[n] for n in homes} == \
+        {n: getattr(trionlab, n) for n in homes}
+    from trionlab import analysis
+    assert analysis is importlib.import_module("trionlab.analysis")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        trionlab.no_such_name
 
 
 # --- the identities the family rests on --------------------------------------
