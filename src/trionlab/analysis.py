@@ -46,11 +46,8 @@ def trion_probability(spectrum, basis, grid_size=201, r=None):
     L = basis.angular.size
     phis = [np.ones_like(t1), np.abs(np.sin(t1 / 2.0)),
             np.abs(np.sin(t2 / 2.0)), np.abs(np.sin((t1 - t2) / 2.0))][:L]
-    P = np.zeros_like(t1)
-    for l in range(L):
-        for lp in range(L):
-            P += M[l, lp] * phis[l] * phis[lp]
-    P /= 4.0 * np.pi ** 2
+    P = sum(M[l, lp] * phis[l] * phis[lp]
+            for l in range(L) for lp in range(L)) / (4.0 * np.pi ** 2)
     return ProbabilityGrid(th, P, r, basis.model, "full")
 
 
@@ -65,11 +62,8 @@ def exciton_probability(spectrum, basis, grid_size=201, method="full",
     M = np.einsum("iI,il,Im->lm", Sax, cm, cm)
     th = np.linspace(-np.pi, np.pi, grid_size)
     phis = [np.ones_like(th), np.abs(np.sin(th / 2.0))][:L]
-    P = np.zeros_like(th)
-    for l in range(L):
-        for lp in range(L):
-            P += M[l, lp] * phis[l] * phis[lp]
-    P /= 2.0 * np.pi
+    P = sum(M[l, lp] * phis[l] * phis[lp]
+            for l in range(L) for lp in range(L)) / (2.0 * np.pi)
     return ProbabilityGrid(th, P, r, basis.model, method)
 
 
@@ -103,17 +97,36 @@ class PowerLawFit:
 
 
 def fit_power_law(x, y):
-    """Least-squares fit y = A x^p + C, initialized from a log-log slope."""
-    from scipy.optimize import curve_fit   # off the CLI import path
+    """Least-squares fit y = A x^p + C by variable projection (Golub &
+    Pereyra 1973): for fixed p, A and C are a linear least-squares fit,
+    which leaves g(p) = -A sum r x^p ln x, the p-derivative of |r|^2 / 2.
+    Its root is bracketed around the log-log slope and bisected down to
+    adjacent floats, with elementwise sums only (no BLAS)."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    lx = np.log(x)
 
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    slope, logA = np.polyfit(np.log(x), np.log(np.maximum(y, 1e-300)), 1)
-    p0 = [np.exp(logA), slope, 0.0]
-    popt, _ = curve_fit(lambda e, A, p, C: A * e ** p + C, x, y, p0=p0,
-                        maxfev=20000)
-    res = float(np.linalg.norm(popt[0] * x ** popt[1] + popt[2] - y))
-    return PowerLawFit(float(popt[0]), float(popt[1]), float(popt[2]), res)
+    def project(p):
+        phi = np.exp(p * lx)
+        dphi = phi - phi.mean()
+        A = np.sum(dphi * (y - y.mean())) / np.sum(dphi * dphi)
+        C = y.mean() - A * phi.mean()
+        r = y - A * phi - C
+        return -A * np.sum(r * phi * lx), A, C, r
+
+    dlx = lx - lx.mean()
+    p0 = np.sum(dlx * np.log(np.maximum(y, 1e-300))) / np.sum(dlx * dlx)
+    lo, hi = p0 - 0.5, p0 + 0.5
+    for _ in range(60):
+        if project(lo)[0] < 0 <= project(hi)[0]:
+            break
+        lo, hi = 2.0 * lo - p0, 2.0 * hi - p0
+    else:
+        raise ValueError("power-law fit: no minimum found in p")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if project(mid)[0] < 0 else (lo, mid)
+    _, A, C, r = project(hi)
+    return PowerLawFit(float(A), float(hi), float(C),
+                       float(np.sqrt(np.sum(r * r))))
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -153,12 +166,9 @@ def _result_row(res, method):
 def sweep_sigma(r=0.1, sigmas=None, model="2d", quad=DEFAULT_QUAD):
     if sigmas is None:
         sigmas = np.linspace(0.0, 1.0, 11)
-    rows = []
-    for sigma in sigmas:
-        for charge, res in sorted(
-                binding_both_charges(r, float(sigma), model, quad).items()):
-            rows.append(_result_row(res, "full"))
-    return rows
+    return [_result_row(res, "full") for sigma in sigmas
+            for _, res in sorted(
+                binding_both_charges(r, float(sigma), model, quad).items())]
 
 
 def species_units(ch, env=Environment(), params=tb.DEFAULT_PARAMS):
@@ -184,11 +194,9 @@ def sweep_epsilon(ch, eps_grid=None, params=tb.DEFAULT_PARAMS,
         rows.append({"epsilon": float(eps), "r_aB": r,
                      "E_B_eV": to_physical_energy(res.E_B, u),
                      "E_X_eV": to_physical_energy(-res.E_X, u)})
-    eb_fit = fit_power_law([w["epsilon"] for w in rows],
-                           [w["E_B_eV"] for w in rows])
-    ex_fit = fit_power_law([w["epsilon"] for w in rows],
-                           [w["E_X_eV"] for w in rows])
-    return rows, eb_fit, ex_fit
+    eps = [w["epsilon"] for w in rows]
+    return (rows, fit_power_law(eps, [w["E_B_eV"] for w in rows]),
+            fit_power_law(eps, [w["E_X_eV"] for w in rows]))
 
 
 def sweep_species(r_min=3.0, r_max=15.0, env=Environment(),

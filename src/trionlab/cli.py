@@ -79,12 +79,13 @@ def _context(args):
 def cmd_masses(args):
     from . import tightbinding as tb
     ch = parse_chirality(args.chirality)
-    masses = tb.effective_masses(ch, _tb_params(args))
-    rows = [{"n": ch.n, "m": ch.m, "r_A": tb.radius(ch, _tb_params(args)),
+    p = _tb_params(args)
+    masses = tb.effective_masses(ch, p)
+    rows = [{"n": ch.n, "m": ch.m, "r_A": tb.radius(ch, p),
              "gap_eV": masses.gap, "m_e_m0": masses.m_e,
              "m_h_m0": masses.m_h, "mu_m0": masses.mu,
              "sigma": masses.sigma}]
-    return {"fermi_velocity_m_s": tb.fermi_velocity(_tb_params(args))}, rows
+    return {"fermi_velocity_m_s": tb.fermi_velocity(p)}, rows
 
 
 def cmd_bands(args):

@@ -76,28 +76,21 @@ def optimize(problem, model, initial, r0=0.1, grad_step=1e-3, step0=0.25,
     accepted = rejected = 0
     converged = False
     for _ in range(max_steps):
-        g = np.empty_like(x)
-        for i in range(len(x)):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += grad_step
-            xm[i] -= grad_step
-            g[i] = (f(xp) - f(xm)) / (2.0 * grad_step)
+        g = np.array([(f(x + grad_step * d) - f(x - grad_step * d))
+                      / (2.0 * grad_step) for d in np.eye(len(x))])
         gnorm = np.linalg.norm(g)
         if gnorm == 0:
             converged = True
             break
-        step = step0
-        direction = -g / gnorm
-        improved = False
+        step, direction = step0, -g / gnorm
         while step > 1e-6:
             e_new = f(x + step * direction)
             if e_new < e:
                 x = x + step * direction
-                improved = True
                 break
             rejected += 1
             step /= 2.0
-        if not improved:
+        else:                           # no step lowered the energy
             converged = True
             break
         accepted += 1

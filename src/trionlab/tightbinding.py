@@ -2,11 +2,14 @@
 
 Non-orthogonal two-band model: E(k) = (e2p -/+ t w) / (1 -/+ s w) with
 w(k) = |1 + e^{i k.a1} + e^{i k.a2}|, folded onto nanotube subbands via
-the standard chiral/translation vector construction.  Band curvature is
+the standard chiral/translation vector construction.  The band edge and
+its exact curvature come from W = w^2 (`effective_masses`); curvature is
 converted to an effective mass in units of m0 using the dimensionless
 wavevector k*a, i.e. m/m0 = a^2 / (d^2E/dk^2 [eV A^2]) with the energy
 scale hbar^2/(m0 a^2) set to 1 eV (see README on conventions).
 """
+import cmath
+import math
 from dataclasses import dataclass
 from math import gcd
 
@@ -23,6 +26,10 @@ class TightBindingParams:
     e2p: float = 0.0      # on-site energy, eV
 
     def __post_init__(self):
+        for name in ("t", "s", "a", "e2p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"tight-binding parameter {name} must be "
+                                 f"finite, got {getattr(self, name)!r}")
         if self.a <= 0:
             raise ValueError("lattice constant must be positive")
         if not 0 <= self.s < 1:
@@ -97,46 +104,19 @@ def _translation(ch):
 
 def _fold(ch, p):
     """Allowed-line construction: returns (K1, K2hat, N, Tlen)."""
-    a1, a2, b1, b2 = _lattice(p)
-    n, m = ch.n, ch.m
-    t1, t2, N = _translation(ch)
-    T = t1 * a1 + t2 * a2
-    K1 = (-t2 * b1 + t1 * b2) / N
-    K2 = (m * b1 - n * b2) / N
-    return K1, K2 / np.linalg.norm(K2), N, np.linalg.norm(T)
+    _, _, b1, b2 = _lattice(p)
+    t1, t2, _ = _translation(ch)
+    N, Tlen = cutting_lines(ch, p)
+    K2 = (ch.m * b1 - ch.n * b2) / N
+    return (-t2 * b1 + t1 * b2) / N, K2 / np.linalg.norm(K2), N, Tlen
 
 
 def cutting_lines(ch, p=DEFAULT_PARAMS):
-    """(N, Tlen): the number of cutting lines and the length of the
-    translation vector; each line runs over kpar in [-pi/Tlen, pi/Tlen]."""
-    _, _, N, Tlen = _fold(ch, p)
-    return N, Tlen
-
-
-def _line_k(K1, K2h, mu, kpar):
-    """Wavevector mu K1 + kpar K2hat on cutting line(s) mu (broadcast)."""
-    return np.asarray(mu)[..., None] * K1 + np.asarray(kpar)[..., None] * K2h
-
-
-def _edge_lines(ch):
-    """Cutting lines next to K and K' (at most 4 indices, ascending).
-
-    The gap grows with |f(k)|, zero only at K and K'.  In the basis
-    (K1, K2), K = (2 b1 + b2)/3 and K' = (b1 + 2 b2)/3 sit at 3 alpha =
-    2n + m, n + 2m and 3 beta = 2 t1 + t2, t1 + 2 t2.  The reciprocal
-    vector u b1 + v b2 with u t1 + v t2 = 1 moves (alpha, beta) by
-    (u n + v m, 1); round(beta) such moves bring beta into the scanned
-    window [-1/2, 1/2], between lines floor(alpha) and ceil(alpha) mod N.
-    """
-    n, m = ch.n, ch.m
+    """(N, Tlen): the number of cutting lines and the length |T| = a
+    sqrt(t1^2 + t1 t2 + t2^2) of the translation vector; each line runs
+    over kpar in [-pi/Tlen, pi/Tlen]."""
     t1, t2, N = _translation(ch)
-    u = pow(t1, -1, -t2)          # extended Euclid: u t1 = 1 mod |t2|
-    v = (1 - u * t1) // t2
-    lines = set()
-    for a3, b3 in ((2 * n + m, 2 * t1 + t2), (n + 2 * m, t1 + 2 * t2)):
-        a3 -= 3 * ((b3 + 1) // 3) * (u * n + v * m)   # round(b3 / 3)
-        lines.update((a3 // 3 % N, -(-a3 // 3) % N))
-    return np.array(sorted(lines))
+    return N, p.a * math.sqrt(t1 * t1 + t1 * t2 + t2 * t2)
 
 
 def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
@@ -144,76 +124,93 @@ def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
     K1, K2h, N, _ = _fold(ch, p)
     if not 0 <= mu_idx < N:
         raise ValueError(f"subband index out of range 0..{N - 1}")
-    k = _line_k(K1, K2h, mu_idx, np.asarray(kpar, float))
+    k = mu_idx * K1 + np.asarray(kpar, float)[..., None] * K2h
     return (graphene_band(k, p, "conduction"), graphene_band(k, p, "valence"))
 
 
-def effective_masses(ch, p=DEFAULT_PARAMS, scan_points=2001, fd_step=1e-3):
+def _edge_lines(ch):
+    """The two cutting lines next to K, and 3 beta, K's offset along them.
+
+    In the basis (K1, K2), K = (2 b1 + b2)/3 is at 3 alpha = 2n + m, 3 beta
+    = 2 t1 + t2.  Subtracting round(beta) times u b1 + v b2 (u t1 + v t2 =
+    1), which is (u n + v m, 1) in that basis, brings beta into [-1/2, 1/2]
+    between lines floor(alpha) and ceil(alpha) mod N.  K1 is orthogonal to
+    K2, so both lines pass closest to K at kpar = 2 pi beta / Tlen."""
+    n, m = ch.n, ch.m
+    t1, t2, N = _translation(ch)
+    u = pow(t1, -1, -t2)          # extended Euclid: u t1 = 1 mod |t2|
+    v = (1 - u * t1) // t2
+    shift = (2 * t1 + t2 + 1) // 3          # round(beta)
+    a3 = 2 * n + m - 3 * shift * (u * n + v * m)
+    return (a3 // 3 % N, -(-a3 // 3) % N), 2 * t1 + t2 - 3 * shift
+
+
+def _line_minimum(ch, mu, x):
+    """(w, line, x, W'') at the minimum of W = |f|^2 on line mu, by
+    Newton's method on W' = 0 from x = kpar Tlen / (2 pi); there k.a1 =
+    2 pi (-t2 mu + m x) / N and k.a2 = 2 pi (t1 mu - n x) / N, integer
+    parts mod N.  (line, x) is the smaller of (mu, x) and its time-
+    reversed image (N - mu mod N, -x)."""
+    t1, t2, N = _translation(ch)
+    c = 2.0 * math.pi / N
+    r1, r2, l1, l2 = -t2 * mu % N, t1 * mu % N, ch.m, -ch.n
+    step = math.inf
+    for _ in range(30):
+        e1 = cmath.exp(1j * c * (r1 + l1 * x))
+        e2 = cmath.exp(1j * c * (r2 + l2 * x))
+        f = 1.0 + e1 + e2
+        f1 = 1j * c * (l1 * e1 + l2 * e2)
+        f2 = -c * c * (l1 * l1 * e1 + l2 * l2 * e2)
+        W1 = 2.0 * (f.conjugate() * f1).real
+        W2 = 2.0 * (abs(f1) ** 2 + (f.conjugate() * f2).real)
+        if not W2 > 0.0:            # not at a minimum: give up
+            break
+        if abs(step) <= 1e-10:      # x is now off by O(step^2)
+            return (abs(f), *min((mu, x), ((-mu) % N, -x)), W2)
+        step = W1 / W2
+        x -= step
+    raise RuntimeError(f"band-edge Newton found no minimum on line {mu} of "
+                       f"({ch.n},{ch.m}) (x={x!r}, W''={W2!r})")
+
+
+def effective_masses(ch, p=DEFAULT_PARAMS):
     """Band-edge effective masses of a semiconducting tube.
 
-    Scans the cutting lines next to K and K' (`_edge_lines`) for the
-    direct gap, refines it by golden-section search, then extracts
-    curvatures by Richardson-extrapolated central differences.
-    """
-    from scipy.optimize import minimize_scalar   # off the CLI import path
+    Both bands are monotone in w = |f(k)|, which vanishes only at K and
+    K', so the direct gap E_c(w) - E_v(w) = 2 w (s e2p - t) / (1 - s^2 w^2)
+    and the band edge sit at the minimum of W = w^2 on a cutting line next
+    to K (`_edge_lines`).  On each of the two, Newton's method solves W' =
+    0 from the point nearest K; the edge is on the one with the smaller W.
+    As W' = 0 there, E'' = E_w W'' / (2 w) exactly, with E_w = (s e2p -
+    t)/(1 - s w)^2 for the conduction and (t - s e2p)/(1 + s w)^2 for the
+    valence band.
 
+    K' = b1 + b2 - K is the time-reversed image of K, with its edge on
+    line N - mu at -k; of the two images the smaller (line, k) is reported:
+    the lower line, and on a line that is its own image k <= 0."""
     if not is_semiconducting(ch):
         raise ValueError(f"({ch.n},{ch.m}) is metallic")
-    K1, K2h, _, Tlen = _fold(ch, p)
-
-    def band(mu_idx, kpar, branch):
-        return graphene_band(_line_k(K1, K2h, mu_idx, kpar), p, branch)
-
-    # dense scan of the candidate lines at once, then refine the winner
-    lines = _edge_lines(ch)
-    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, scan_points)
-    kk = _line_k(K1, K2h, lines[:, None], ks)
-    g = graphene_band(kk, p, "conduction") - graphene_band(kk, p, "valence")
-    row, i = np.unravel_index(int(np.argmin(g)), g.shape)
-    mu_idx = int(lines[row])
-    if 0 < i < len(ks) - 1:
-        res = minimize_scalar(
-            lambda kp: band(mu_idx, kp, "conduction")
-            - band(mu_idx, kp, "valence"),
-            bracket=(ks[i - 1], ks[i], ks[i + 1]))
-        k0, gap = float(res.x), float(res.fun)
-    else:
-        k0, gap = float(ks[i]), float(g[row, i])
-    if gap <= 0:
+    lines, b3 = _edge_lines(ch)
+    w, line, x, W2 = min(_line_minimum(ch, mu, b3 / 3.0) for mu in lines)
+    E_w = p.s * p.e2p - p.t
+    gap = 2.0 * w * E_w / (1.0 - (p.s * w) ** 2)
+    if not gap > 0:
         raise RuntimeError("band-edge search failed to find a positive gap")
-
-    def curvature(branch):
-        def d2(h):
-            return (band(mu_idx, k0 + h, branch) - 2.0 * band(mu_idx, k0, branch)
-                    + band(mu_idx, k0 - h, branch)) / h ** 2
-        c1, c2 = d2(fd_step), d2(fd_step / 2.0)
-        return (4.0 * c2 - c1) / 3.0
-
-    m_e = p.a ** 2 / abs(curvature("conduction"))
-    m_h = p.a ** 2 / abs(curvature("valence"))
+    scale = cutting_lines(ch, p)[1] / (2.0 * math.pi)
+    # |E''| (1 -/+ s w)^2 of either band, in kpar = x / scale
+    curv = E_w * W2 * scale ** 2 / (2.0 * w)
+    m_e, m_h = (p.a ** 2 * (1.0 + sg * p.s * w) ** 2 / curv for sg in (-1, 1))
     mu = 1.0 / (1.0 / m_e + 1.0 / m_h)
-    return EffectiveMasses(m_e, m_h, mu, m_e / m_h, gap, mu_idx, k0)
+    return EffectiveMasses(m_e, m_h, mu, m_e / m_h, gap, line, x / scale)
 
 
 def fermi_velocity(p=DEFAULT_PARAMS):
-    """Graphene band slope at the gapless point, as a converged limit (m/s).
-
-    At the K point w = 0, so the slope is sqrt(3) |t| a / 2 exactly; the
-    Richardson sequence below confirms the limit numerically.  The default
-    parameters give 9.354e5 m/s (see README, "Known limitation").
-    """
-    a1, a2, b1, b2 = _lattice(p)
-    K = (2.0 * b1 + b2) / 3.0
-    d = b1 / np.linalg.norm(b1)
-
-    def slope(h):
-        return (graphene_band(K + h * d, p, "conduction")
-                - graphene_band(K, p, "conduction")) / h
-
-    s1, s2, s4 = slope(1e-4), slope(2e-4), slope(4e-4)
-    r1, r2 = 2.0 * s1 - s2, 2.0 * s2 - s4   # cancel the O(h) term
-    refined = (4.0 * r1 - r2) / 3.0         # cancel the O(h^2) term
-    return abs(refined) * EV_ANGSTROM_PER_HBAR
+    """Band slope at the gapless point K (m/s): there w = 0, |grad w| =
+    sqrt(3) a / 2 and |dE/dw| = |t - s e2p|, so the slope is sqrt(3) |t -
+    s e2p| a / 2 eV*Angstrom, sqrt(3) |t| a / 2 at e2p = 0.  The defaults
+    give 9.354e5 m/s (see README, "Known limitation")."""
+    return math.sqrt(3.0) * abs(p.t - p.s * p.e2p) * p.a / 2.0 \
+        * EV_ANGSTROM_PER_HBAR
 
 
 def enumerate_species(r_min, r_max, p=DEFAULT_PARAMS):

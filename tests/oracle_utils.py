@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute-force: direct scipy quadrature of
 the defining integrals, with none of the closed-form reductions used by
-the package itself, a band-edge scan of every subband, solves of
+the package itself, a band-edge scan of every subband, band-edge masses
+from extended-precision finite differences, solves of
 matrices assembled at the radius of each point (the path that the
 families of `trionlab.solver` replaced), and the Coulomb kernels as
 plain loops with one angular weight call per channel and label pair.
@@ -19,7 +20,8 @@ from trionlab.basis import AngularSet, scale_exponents
 from trionlab.quadrature import DEFAULT_QUAD, outer_rule
 from trionlab.solver import solve_generalized
 from trionlab.tightbinding import (DEFAULT_PARAMS, EffectiveMasses, _fold,
-                                   graphene_band, is_semiconducting)
+                                   _translation, graphene_band,
+                                   is_semiconducting, radius)
 
 # Two-particle angular basis functions, 0-based labels.
 ANGULAR_FUNCS = [
@@ -117,9 +119,9 @@ def brute_repulsion_element(pa, pb, P, Q, r):
 def brute_effective_masses(ch, p=None, scan_points=2001, fd_step=1e-3):
     """Band-edge masses from a dense scan of every one of the N subbands.
 
-    The all-subband search that `effective_masses` replaced by the
-    cutting lines next to K and K'; same scan grid, refinement and
-    curvature, so the two must agree exactly.
+    The all-subband search that `effective_masses` replaced: a scan of
+    every line at 2,001 points, golden-section refinement (edge to about
+    sqrt(eps)) and Richardson-extrapolated second differences.
     """
     from scipy.optimize import minimize_scalar
 
@@ -160,6 +162,67 @@ def brute_effective_masses(ch, p=None, scan_points=2001, fd_step=1e-3):
     m_h = p.a ** 2 / abs(curvature("valence"))
     mu = 1.0 / (1.0 / m_e + 1.0 / m_h)
     return EffectiveMasses(m_e, m_h, mu, m_e / m_h, gap, mu_idx, k0)
+
+
+def extended_masses(ch, p, subband, k_edge):
+    """Band-edge gap and masses on line `subband` in np.longdouble.
+
+    The lattice, reciprocal vectors and bands are built afresh in 64-bit
+    mantissa arithmetic; the edge is refined from k_edge by Newton's
+    method on Richardson-extrapolated central differences of the gap, and
+    each band's curvature there is the Richardson table of central second
+    differences at the five steps 2^-j / (20 r), j = 0..4.  The table
+    converges to about 1e-13 relative on the 3-15 A species.
+    """
+    LD = np.longdouble
+    two_pi, r3 = 2 * np.arccos(LD(-1)), np.sqrt(LD(3))
+    a = LD(p.a)
+    a1, a2 = a * np.array([r3 / 2, LD(0.5)]), a * np.array([r3 / 2, LD(-0.5)])
+    b1 = two_pi / a * np.array([1 / r3, LD(1)])
+    b2 = two_pi / a * np.array([1 / r3, LD(-1)])
+    t1, t2, N = _translation(ch)
+    K1 = (-t2 * b1 + t1 * b2) / N
+    K2 = (ch.m * b1 - ch.n * b2) / N
+    K2h = K2 / np.sqrt(K2 @ K2)
+    # the line's base phases are reduced once, so that rounding of the
+    # large phases k.a does not vary with kpar
+    base = [np.fmod(subband * K1 @ d, two_pi) for d in (a1, a2)]
+    slope = [K2h @ d for d in (a1, a2)]
+    t, s, e2p = LD(p.t), LD(p.s), LD(p.e2p)
+
+    def band(kpar, branch):
+        w = abs(1 + np.exp(1j * (base[0] + kpar * slope[0]))
+                + np.exp(1j * (base[1] + kpar * slope[1])))
+        if branch == "conduction":
+            return (e2p - t * w) / (1 - s * w)
+        return (e2p + t * w) / (1 + s * w)
+
+    def gap(kpar):
+        return band(kpar, "conduction") - band(kpar, "valence")
+
+    def richardson(diff, f, k):
+        h0 = 1 / (20 * LD(radius(ch, p)))
+        prev = []
+        for j in range(5):
+            row = [diff(f, k, h0 / 2 ** j)]
+            for i in range(1, j + 1):
+                row.append(row[-1] + (row[-1] - prev[i - 1]) / (4 ** i - 1))
+            prev = row
+        return prev[-1]
+
+    def d1(f, k, h):
+        return (f(k + h) - f(k - h)) / (2 * h)
+
+    def d2(f, k, h):
+        return (f(k + h) - 2 * f(k) + f(k - h)) / (h * h)
+
+    k = LD(k_edge)
+    for _ in range(4):
+        k -= richardson(d1, gap, k) / richardson(d2, gap, k)
+    m_e, m_h = [float(a * a / abs(richardson(d2, lambda x: band(x, b), k)))
+                for b in ("conduction", "valence")]
+    return EffectiveMasses(m_e, m_h, m_e * m_h / (m_e + m_h), m_e / m_h,
+                           float(gap(k)), subband, float(k))
 
 
 # --- solves assembled at r, without the families -----------------------------

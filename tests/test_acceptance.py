@@ -238,3 +238,24 @@ def test_criterion_8_byte_identical_sweeps():
         outs.append(proc.stdout)
     assert outs[0]
     assert outs[0] == outs[1]
+
+
+def test_criterion_8_byte_identical_fit_constants():
+    """The `sweep-epsilon` power-law fit constants printed under 1 and 2
+    BLAS/OpenMP threads are the same bytes (one interpreter each)."""
+    argv = ["sweep-epsilon", "--chirality", "6,5", "--points", "4",
+            "--no-cache"]
+    code = ("import sys; from trionlab.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        fits.append([line for line in proc.stdout.splitlines()
+                     if line.startswith(("# fit_A", "# fit_p", "# fit_C",
+                                         "# exciton_fit_p"))])
+    assert len(fits[0]) == 4
+    assert fits[0] == fits[1]

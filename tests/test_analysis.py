@@ -95,6 +95,24 @@ def test_fit_power_law_recovers_synthetic():
     assert fit(3.0) == pytest.approx(0.37 * 3.0 ** -1.43 + 0.002)
 
 
+def test_fit_power_law_gradient_vanishes_on_noisy_data():
+    """With a nonzero residual, the least-squares gradient in A, C and p
+    (the projected gradient) vanishes at the returned constants: the
+    residual is orthogonal to each derivative of the model."""
+    x = np.linspace(2.0, 5.0, 13)
+    rng = np.random.default_rng(5)
+    y = 0.37 * x ** -1.43 + 0.002 + 1e-4 * rng.standard_normal(13)
+    fit = fit_power_law(x, y)
+    r = y - fit(x)
+    assert fit.residual == pytest.approx(np.linalg.norm(r))
+    assert fit.residual > 1e-4
+    phi = x ** fit.p
+    for direction in (phi, np.ones_like(x), fit.A * phi * np.log(x)):
+        cosine = r @ direction / (np.linalg.norm(r)
+                                  * np.linalg.norm(direction))
+        assert abs(cosine) < 1e-10
+
+
 def test_detectability_radius_interpolation():
     rows = [{"r_A": 4.0, "E_B_minus_2d_meV": 80.0},
             {"r_A": 8.0, "E_B_minus_2d_meV": 28.0},

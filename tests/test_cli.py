@@ -27,6 +27,18 @@ def test_masses_6_5():
     assert any("fermi_velocity" in line for line in lines)
 
 
+@pytest.mark.parametrize("field, value", [("a", "nan"), ("t", "inf")])
+def test_non_finite_tight_binding_parameter_rejected(field, value, tmp_path,
+                                                     capsys):
+    argv = ["masses", "--chirality", "6,5", f"--{field}", value,
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: tight-binding parameter {field} must be "
+                          "finite")
+    assert os.listdir(tmp_path) == []
+
+
 def test_metadata_and_header_present():
     code, text = _run(["exciton", "--radius", "0.1", "--model", "1d",
                        "--no-cache"])

@@ -176,7 +176,8 @@ def _numerics(names, prefixes=("numpy", "scipy")):
 def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     """Importing the package or the CLI assembles nothing and loads no
     scipy solver; a bare `import trionlab` and a warm cache hit load no
-    numerics at all, and a cold `bands` run loads no scipy."""
+    numerics at all, cold `bands` and `masses` runs load no scipy, and a
+    cold `trion --chirality` run loads no `scipy.optimize`."""
     code = ("import sys, trionlab.cli, trionlab.solver as s; "
             "assert s.preset_family.cache_info().currsize == 0; "
             "assert 'scipy.optimize' not in sys.modules; "
@@ -190,10 +191,15 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     warm, names = _imported(argv)
     assert warm == cold
     assert _numerics(names) == []
-    _, names = _imported(["-m", "trionlab.cli", "bands", "--chirality", "4,2",
-                          "--points", "5", "--no-cache"])
-    assert "numpy" in names
-    assert _numerics(names, ("scipy",)) == []
+    for argv in (["bands", "--chirality", "4,2", "--points", "5"],
+                 ["masses", "--chirality", "6,5"]):
+        _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
+        assert "numpy" in names
+        assert _numerics(names, ("scipy",)) == []
+    _, names = _imported(["-m", "trionlab.cli", "trion", "--chirality", "6,5",
+                          "--no-cache"])
+    assert "scipy.special" in names
+    assert "scipy.optimize" not in names
 
 
 PUBLIC = {

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle_utils import brute_effective_masses
+from oracle_utils import brute_effective_masses, extended_masses
 from trionlab import ChiralIndex, TightBindingParams, effective_masses, \
     enumerate_species, fermi_velocity, is_semiconducting, radius
-from trionlab.tightbinding import DEFAULT_PARAMS, _fold, _lattice, \
-    cutting_lines, graphene_band, subband_energies
+from trionlab.tightbinding import DEFAULT_PARAMS, EV_ANGSTROM_PER_HBAR, \
+    _fold, _lattice, _line_minimum, cutting_lines, graphene_band, \
+    subband_energies
 
 
 def test_params_validation():
@@ -20,6 +21,13 @@ def test_params_validation():
         ChiralIndex(3, 5)
     with pytest.raises(ValueError):
         ChiralIndex(3, -1)
+
+
+@pytest.mark.parametrize("field", ["t", "s", "a", "e2p"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"parameter {field} must be finite"):
+        TightBindingParams(**{field: value})
 
 
 def test_semiconducting_rule():
@@ -77,34 +85,104 @@ def test_effective_masses_6_5():
     assert em.mu == pytest.approx(em.m_e * em.m_h / (em.m_e + em.m_h))
 
 
+def test_band_edge_newton_rejects_negative_curvature():
+    """Started far along the line, where W'' < 0, Newton's method is not
+    approaching a minimum and raises instead of returning a maximum."""
+    with pytest.raises(RuntimeError, match="found no minimum on line 60"):
+        _line_minimum(ChiralIndex(6, 5), 60, -5.0)
+
+
 def test_effective_masses_metallic_rejected():
     with pytest.raises(ValueError):
         effective_masses(ChiralIndex(6, 3))
 
 
-def test_effective_masses_step_insensitive():
-    em1 = effective_masses(ChiralIndex(7, 5), fd_step=1e-3)
-    em2 = effective_masses(ChiralIndex(7, 5), fd_step=5e-4)
-    assert em1.m_e == pytest.approx(em2.m_e, rel=5e-3)
-    assert em1.m_h == pytest.approx(em2.m_h, rel=5e-3)
-
-
+# the defaults, then three other parameter sets (the last moves a too)
+PARAM_SETS = [DEFAULT_PARAMS, TightBindingParams(t=-2.7, s=0.0, e2p=0.3),
+              TightBindingParams(s=0.2),
+              TightBindingParams(t=-3.0, s=0.05, a=2.49, e2p=-0.2)]
 # both families, zigzag, near armchair, (4,2), the largest N in 3-15 A
-# (2,918 lines) and a 15-20 A tube; then two other parameter sets
+# (2,918 lines) and a 15-20 A tube at the defaults; four at the others
 EDGE_CASES = [((n, m), DEFAULT_PARAMS) for n, m in [
     (6, 5), (7, 5), (10, 0), (11, 0), (11, 10), (4, 2), (30, 13), (26, 18)]]
-EDGE_CASES += [(nm, p) for p in (TightBindingParams(t=-2.7, s=0.0, e2p=0.3),
-                                 TightBindingParams(s=0.2))
+EDGE_CASES += [(nm, p) for p in PARAM_SETS[1:]
                for nm in [(6, 5), (10, 0), (4, 2), (17, 4)]]
+# The scan oracle finds the edge by golden-section search (to about
+# sqrt(eps) in k) and takes finite differences there: its masses are off
+# the extended-precision reference by up to 1.1e-7 relative on
+# EDGE_CASES, (30,13) the worst.
+ORACLE_REL = 2e-7
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
 
 
 @pytest.mark.parametrize("nm, p", EDGE_CASES, ids=[
-    f"{n},{m}-t{p.t}-s{p.s}-e{p.e2p}" for (n, m), p in EDGE_CASES])
+    f"{n},{m}-t{p.t}-s{p.s}-e{p.e2p}" + (f"-a{p.a}" if p.a != 2.46 else "")
+    for (n, m), p in EDGE_CASES])
 def test_edge_lines_match_all_subband_scan(nm, p):
-    """Scanning only the lines next to K and K' must reproduce the scan
-    of every subband exactly: same subband, edge, gap and masses."""
+    """Newton on the lines next to K finds the edge of the scan of every
+    subband: the same line up to the time-reversed image N - mu (at -k),
+    the same gap, and masses within the scan's own error of the scan and
+    within 1e-12 of the extended-precision reference.  The scan's float64
+    phases put its own gap off by up to 1.1e-12 ((30,13)), so the 1e-12
+    gap check is made against the reference."""
     ch = ChiralIndex(*nm)
-    assert effective_masses(ch, p) == brute_effective_masses(ch, p)
+    em = effective_masses(ch, p)
+    brute = brute_effective_masses(ch, p)
+    N, _ = cutting_lines(ch, p)
+    sign = 1.0 if em.subband == brute.subband else -1.0
+    assert em.subband == (brute.subband if sign > 0 else N - brute.subband)
+    assert em.k_edge == pytest.approx(sign * brute.k_edge, abs=1e-7)
+    ref = extended_masses(ch, p, em.subband, em.k_edge)
+    assert _rel(em.gap, ref.gap) < 1e-12
+    assert _rel(em.gap, brute.gap) < 2e-12
+    for got, scan, want in [(em.m_e, brute.m_e, ref.m_e),
+                            (em.m_h, brute.m_h, ref.m_h)]:
+        assert _rel(got, scan) < ORACLE_REL
+        assert _rel(got, want) < 1e-12
+
+
+def _stratified_species():
+    """The first species, in (radius, n, m) order, of each family
+    (n - m = 1 or 2 mod 3) in each 1.5 A band of 3-15 A: 16 tubes."""
+    out = {}
+    for ch in enumerate_species(3.0, 15.0):
+        key = (int((radius(ch) - 3.0) // 1.5), (ch.n - ch.m) % 3)
+        out.setdefault(key, ch)
+    return list(out.values())
+
+
+def test_effective_masses_match_extended_precision_reference():
+    """Masses, gap and edge against np.longdouble Richardson tables, for
+    every parameter set of EDGE_CASES on a stratified species set."""
+    species = _stratified_species()
+    assert len(species) == 16
+    for p in PARAM_SETS:
+        for ch in species:
+            em = effective_masses(ch, p)
+            ref = extended_masses(ch, p, em.subband, em.k_edge)
+            for key in ("m_e", "m_h", "mu", "sigma", "gap"):
+                assert _rel(getattr(em, key), getattr(ref, key)) < 1e-12, \
+                    (ch, p, key)
+            assert em.k_edge == pytest.approx(ref.k_edge, abs=1e-12)
+
+
+def test_time_reversed_edges_tie_and_lower_line_is_reported():
+    """(7,3): the edge next to K on line 53 and its time-reversed image
+    next to K' on line N - 53 = 105 at -k have the same gap, so which one
+    a scan finds is up to rounding; the lower line is reported."""
+    ch = ChiralIndex(7, 3)
+    em = effective_masses(ch)
+    N, _ = cutting_lines(ch)
+    assert (N, em.subband) == (158, 53)
+    gaps = [float(np.subtract(*subband_energies(ch, mu, k)))
+            for mu, k in [(53, em.k_edge), (105, -em.k_edge)]]
+    assert gaps[0] == pytest.approx(gaps[1], rel=1e-14)
+    assert em.gap == pytest.approx(gaps[0], rel=1e-13)
+    mirror = effective_masses(ch, TightBindingParams(s=0.2, e2p=0.1))
+    assert (mirror.subband, mirror.k_edge) == (em.subband, em.k_edge)
 
 
 def test_band_edge_next_to_k_point():
@@ -115,7 +193,8 @@ def test_band_edge_next_to_k_point():
     shifts = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
     for ch in enumerate_species(3.0, 15.0, p):
         em = effective_masses(ch, p)
-        K1, K2h, _, _ = _fold(ch, p)
+        K1, K2h, N, _ = _fold(ch, p)
+        assert em.subband < N - em.subband     # the lower of the two images
         edge = em.subband * K1 + em.k_edge * K2h
         frac = np.linalg.solve(np.array([b1, b2]).T, edge)
         best = np.inf
@@ -130,7 +209,7 @@ def test_band_edge_next_to_k_point():
 def test_effective_masses_memory_independent_of_subbands():
     ch = ChiralIndex(36, 1)
     assert cutting_lines(ch)[0] == 2666
-    effective_masses(ch)    # scipy.optimize import outside the trace
+    effective_masses(ch)    # first-call imports outside the trace
     tracemalloc.start()
     try:
         effective_masses(ch)
@@ -172,6 +251,25 @@ def test_enumerate_species_against_double_loop(r_min, r_max, count):
     got = enumerate_species(r_min, r_max)
     assert [(c.n, c.m) for c in got] == [(n, m) for _, n, m in want]
     assert len(got) == count
+
+
+@pytest.mark.parametrize("p", PARAM_SETS)
+def test_fermi_velocity_is_the_band_slope_at_k(p):
+    """The closed form against the numerical slope of `graphene_band` at
+    K, one-sided differences Richardson-extrapolated twice."""
+    _, _, b1, b2 = _lattice(p)
+    K = (2.0 * b1 + b2) / 3.0
+    d = b1 / np.linalg.norm(b1)
+
+    def slope(h):
+        return (graphene_band(K + h * d, p, "conduction")
+                - graphene_band(K, p, "conduction")) / h
+
+    s1, s2, s4 = slope(1e-4), slope(2e-4), slope(4e-4)
+    r1, r2 = 2.0 * s1 - s2, 2.0 * s2 - s4   # cancel the O(h) term
+    refined = (4.0 * r1 - r2) / 3.0         # cancel the O(h^2) term
+    assert abs(refined) * EV_ANGSTROM_PER_HBAR == pytest.approx(
+        fermi_velocity(p), rel=1e-7)
 
 
 def test_fermi_velocity_scales_with_hopping():
