@@ -118,6 +118,26 @@ _T1 = {
 CHANNEL_LABELS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 2, 1))
 
 
+def keeps_labels(channel, L):
+    """Whether CHANNEL_LABELS[channel] maps the first L labels onto
+    themselves."""
+    return max(CHANNEL_LABELS[channel][:L]) < L
+
+
+def exchange_permutation(basis):
+    """Index map P of exchanging the two identical carriers on the
+    flattened trion basis: basis function a = (i, j, k, l) goes to
+    Pa = (j, i, k, m[l]) with m = CHANNEL_LABELS[1].  None unless the
+    basis has that symmetry: alphas_i == alphas_j and m keeps the
+    angular set.  P is an involution."""
+    ax, L = basis.axial, basis.angular.size
+    if not (np.array_equal(ax.alphas_i, ax.alphas_j) and keeps_labels(1, L)):
+        return None
+    n, nk = len(ax.alphas_i), len(ax.alphas_k)
+    a = np.arange(n * n * nk * L).reshape(n, n, nk, L)
+    return a.transpose(1, 0, 2, 3)[..., list(CHANNEL_LABELS[1][:L])].ravel()
+
+
 def pair_entry(channel, l, lp):
     """(coefficient, profile) with pair_weight = coefficient * profile(q)."""
     m = CHANNEL_LABELS[channel]

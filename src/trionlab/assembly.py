@@ -130,12 +130,13 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     Elements depend on the exponents only through the three pair sums,
     so the kernels are evaluated once per unordered pair combination and
     scattered to the full matrix.  Channel 1 is channel 0 with the first
-    two pair axes swapped when alphas_i == alphas_j; its q arrays are then
-    bit-identical and so is U.  Channel 2 is minus channel 0 with the
-    first and third axes swapped when alphas_i == alphas_k; that reuse
-    rounds the pair-sum product D in another order, so U moves in the
-    last bits (up to about 4e-16 relative).  Both relabel the angular
-    factors by `angular.CHANNEL_LABELS`.
+    two pair axes swapped when the basis is exchange symmetric
+    (`angular.exchange_permutation`); its q arrays are then bit-identical
+    and so is U.  Channel 2 is minus channel 0 with the first and third
+    axes swapped when alphas_i == alphas_k; that reuse rounds the
+    pair-sum product D in another order, so U moves in the last bits (up
+    to about 4e-16 relative).  Both relabel the angular factors by
+    `angular.CHANNEL_LABELS`.
     """
     check_inputs(r)
     ai, aj, ak = _axial_arrays(basis)
@@ -143,12 +144,14 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     _, wts, sinh2 = outer_rule(quad)
     (Au, ia), (Bu, ib), (Cu, ic) = map(_unique_pairs, (ai, aj, ak))
     U = [_channel(0, Au, Bu, Cu, r, L, wts, sinh2)]
-    for channel, same, axes, sgn in ((1, aj, (1, 0, 2, 3, 4), 1.0),
-                                     (2, ak, (2, 1, 0, 3, 4), -1.0)):
+    swap_ik = np.array_equal(ai, ak) and angular.keeps_labels(2, L)
+    for channel, reuse, axes, sgn in (
+            (1, angular.exchange_permutation(basis) is not None,
+             (1, 0, 2, 3, 4), 1.0),
+            (2, swap_ik, (2, 1, 0, 3, 4), -1.0)):
         m = np.array(angular.CHANNEL_LABELS[channel][:L])
-        U.append(sgn * U[0].transpose(axes)[..., m[:, None], m]
-                 if np.array_equal(ai, same) and m.max() < L else
-                 _channel(channel, Au, Bu, Cu, r, L, wts, sinh2))
+        U.append(sgn * U[0].transpose(axes)[..., m[:, None], m] if reuse
+                 else _channel(channel, Au, Bu, Cu, r, L, wts, sinh2))
     Uu = U[0] + U[1] + U[2]
     return _flatten(Uu[ia[:, :, None, None, None, None], ib[:, :, None, None],
                        ic])

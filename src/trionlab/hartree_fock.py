@@ -37,7 +37,7 @@ def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
     fam, x, bound = family_at("hf", model, r, basis, quad)
     h, S, V4 = fam.hf_matrices(x)
     _check_symmetric(S)
-    X = _orthogonalizer(S)          # S is the same in every iteration
+    X, _ = _orthogonalizer(S)        # S is the same in every iteration
 
     def lowest(F):
         _check_symmetric(F)

@@ -9,12 +9,20 @@ Every basis is assembled once at its own reference radius r0 into a
 of that family.  Calls without a basis use the preset families, cached
 per process and quadrature (`preset_family`); an explicit basis gets a
 family of its own for each call.
+
+A trion basis that is symmetric under exchange of its two identical
+carriers (`angular.exchange_permutation`) has its retained modes split
+into the exchange-symmetric (singlet) and antisymmetric (triplet)
+sectors, which the Hamiltonian does not couple.  The singlet ground
+state lies in the symmetric sector, so `trion_energy` diagonalizes that
+block alone; `trion_spectrum` solves both.
 """
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .angular import exchange_permutation
 from .assembly import (assemble_exciton, assemble_kinetic, assemble_overlap,
                        assemble_potential, mixing_weight, repulsion_tensor)
 from .basis import (AngularSet, BasisSpec, check_inputs, preset_basis,
@@ -50,17 +58,44 @@ def _check_symmetric(*mats):
         raise ValueError("H and S must be symmetric")
 
 
-def _orthogonalizer(S):
-    """Canonical orthogonalization X of S (X^T S X = 1).
+def _orthogonalizer(S, sectors=None):
+    """Canonical orthogonalization X of S (X^T S X = 1), sector by sector.
 
-    Overlap modes with eigenvalue below DROP_TOL * max are discarded to
-    tame near-linear-dependence.
+    `sectors` are orthonormal bases T (as columns) of subspaces that S
+    leaves invariant and that together span the space; by default the
+    one sector is the whole space.  X = [X_1 | X_2 | ...] with the block
+    X_s = T V / sqrt(e) from the eigenpairs (e, V) of T^T S T.  Overlap
+    modes with eigenvalue below DROP_TOL times the largest eigenvalue of
+    any sector are discarded to tame near-linear-dependence.  Returns X
+    and the column count of each block.
     """
-    evals, evecs = np.linalg.eigh(S)
-    keep = evals > DROP_TOL * evals.max()
-    if not np.any(keep):
+    if sectors is None:
+        sectors = (np.eye(len(S)),)
+    eigs = [np.linalg.eigh(T.T @ S @ T) for T in sectors]
+    top = max(e.max(initial=-np.inf) for e, _ in eigs)
+    blocks = []
+    for T, (e, v) in zip(sectors, eigs):
+        keep = e > DROP_TOL * top
+        blocks.append(T @ (v[:, keep] / np.sqrt(e[keep])))
+    X = np.hstack(blocks)
+    if X.shape[1] == 0:
         raise ValueError("overlap matrix has no retained modes")
-    return evecs[:, keep] / np.sqrt(evals[keep])
+    return X, tuple(b.shape[1] for b in blocks)
+
+
+def _exchange_sectors(P):
+    """Orthonormal bases (T_sym, T_anti) of the functions that the
+    involution P keeps and flips: (e_a + e_Pa)/sqrt(2) for each pair
+    a < Pa plus e_a for each a = Pa, and (e_a - e_Pa)/sqrt(2)."""
+    a = np.arange(len(P))
+    pairs, fixed = a[a < P], a[a == P]
+    T_sym = np.zeros((len(P), len(pairs) + len(fixed)))
+    T_anti = np.zeros((len(P), len(pairs)))
+    cols = np.arange(len(pairs))
+    T_sym[pairs, cols] = T_sym[P[pairs], cols] = np.sqrt(0.5)
+    T_anti[pairs, cols], T_anti[P[pairs], cols] = np.sqrt(0.5), -np.sqrt(0.5)
+    T_sym[fixed, len(pairs) + np.arange(len(fixed))] = 1.0
+    return T_sym, T_anti
 
 
 def solve_generalized(H, S):
@@ -73,7 +108,7 @@ def solve_generalized(H, S):
     if H.shape != S.shape or H.shape[0] != H.shape[1]:
         raise ValueError("H and S must be square matrices of equal shape")
     _check_symmetric(H, S)
-    X = _orthogonalizer(S)
+    X, _ = _orthogonalizer(S)
     e, c = np.linalg.eigh(X.T @ H @ X)
     return Spectrum(e, X @ c, X.shape[1])
 
@@ -92,11 +127,19 @@ class Family:
     retained modes X0 of S0 solves each (r, sigma, charge) point, and the
     coefficients in the scaled basis are X0 v / x (trion) or
     X0 v / sqrt(x) (exciton).
+
+    For a trion basis with exchange symmetry P, X0 = [X_sym | X_anti]
+    spans the exchange-symmetric (singlet) sector and then the
+    antisymmetric (triplet) one.  P commutes with S0, Ka, Km and U0, so
+    each reduced matrix is block diagonal in that split and the singlet
+    energies are those of its leading sectors[0] x sectors[0] block.
+    Any other basis has one sector, all of X0.
     """
     basis: BasisSpec        # the basis at r0
     S: np.ndarray           # S0
     parts: tuple            # (Ka, Km, U0) for a trion, (K0, U0) otherwise
-    X: np.ndarray           # X0, from `_orthogonalizer(S0)`
+    X: np.ndarray           # X0, from `_orthogonalizer(S0, sectors)`
+    sectors: tuple          # retained modes per sector, singlet first
     reduced: tuple          # X0^T M X0 for each M in parts
     V4: np.ndarray = None   # repulsion tensor at r0 (hf only)
 
@@ -109,12 +152,14 @@ class Family:
 def family(problem, basis, quad):
     """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
-    V4 = None
+    V4 = sectors = None
     if problem == "trion":
         S = assemble_overlap(basis)
         Ka = assemble_kinetic(basis, 0.0, r0)
         parts = (Ka, assemble_kinetic(basis, 1.0, r0) - Ka,
                  assemble_potential(basis, r0, quad))
+        P = exchange_permutation(basis)
+        sectors = None if P is None else _exchange_sectors(P)
     else:
         t = assemble_exciton(basis, r0, quad)
         S, parts = t.S, (t.K, t.U)
@@ -122,8 +167,9 @@ def family(problem, basis, quad):
             n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
             V4 = repulsion_tensor(basis.axial.alphas_i, r0, n_ang, quad)
     _check_symmetric(S, *parts)
-    X = _orthogonalizer(S)
-    fam = Family(basis, S, parts, X, tuple(X.T @ M @ X for M in parts), V4)
+    X, dims = _orthogonalizer(S, sectors)
+    fam = Family(basis, S, parts, X, dims,
+                 tuple(X.T @ M @ X for M in parts), V4)
     for M in (S, X, V4, *parts, *fam.reduced):
         if M is not None:
             M.flags.writeable = False   # a preset family is shared
@@ -185,10 +231,12 @@ def _spectrum(fam, h, x, p, bound, r):
             scale_exponents(fam.basis, r))
 
 
-def _trion(r, sigma, charge, model, basis, quad):
-    """(family, x, bound, reduced Hamiltonian) of the trion at one point."""
+def _trion(r, sigma, charge, model, basis, quad, singlet):
+    """(family, x, bound, h) of the trion at one point: h = X0^T H(r) X0
+    on the singlet sector alone, or on every retained mode."""
     fam, x, bound = family_at("trion", model, r, basis, quad)
-    ka, km, u = fam.reduced
+    n = fam.sectors[0] if singlet else fam.X.shape[1]
+    ka, km, u = (M[:n, :n] for M in fam.reduced)
     return fam, x, bound, ka + mixing_weight(sigma, charge) * km + x * u
 
 
@@ -212,14 +260,20 @@ def exciton_energy(r, model="2d", basis=None, quad=DEFAULT_QUAD):
 
 def trion_spectrum(r, sigma, charge="-", model="2d", basis=None,
                    quad=DEFAULT_QUAD):
-    fam, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
+    """Spectrum of every retained mode, both exchange sectors, and the
+    scaled basis."""
+    fam, x, bound, h = _trion(r, sigma, charge, model, basis, quad,
+                              singlet=False)
     return _spectrum(fam, h, x, 2, bound, r)
 
 
 def trion_energy(r, sigma, charge="-", model="2d", basis=None,
                  quad=DEFAULT_QUAD):
-    """Raw (negative) trion ground energy in Ry*."""
-    _, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
+    """Raw (negative) singlet trion ground energy in Ry*: the lowest
+    eigenvalue of the exchange-symmetric sector (of all retained modes
+    for a basis without exchange symmetry)."""
+    _, x, bound, h = _trion(r, sigma, charge, model, basis, quad,
+                           singlet=True)
     return bound(_lowest(h) / x ** 2)
 
 

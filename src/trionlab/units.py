@@ -1,4 +1,5 @@
 """Effective exciton units: Rydberg energy and Bohr length scales."""
+import math
 from dataclasses import dataclass
 
 RYDBERG_EV = 13.6
@@ -10,8 +11,9 @@ class Environment:
     epsilon: float = 3.5
 
     def __post_init__(self):
-        if self.epsilon < 1:
-            raise ValueError("dielectric constant must be >= 1")
+        if not 1 <= self.epsilon < math.inf:
+            raise ValueError("dielectric constant epsilon must be finite "
+                             f"and >= 1, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -20,14 +22,15 @@ class EffectiveUnits:
     bohr: float      # Angstrom
 
     def __post_init__(self):
-        if self.rydberg <= 0 or self.bohr <= 0:
-            raise ValueError("unit scales must be positive")
+        if not (0 < self.rydberg < math.inf and 0 < self.bohr < math.inf):
+            raise ValueError("unit scales must be finite and positive")
 
 
 def effective_units(mu, env):
     """Ry* = 13.6 mu / eps^2 eV and a_B* = 0.529 eps / mu Angstrom."""
-    if mu <= 0:
-        raise ValueError("reduced mass must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError(
+            f"reduced mass must be finite and positive, got {mu}")
     eps = env.epsilon
     return EffectiveUnits(RYDBERG_EV * mu / eps ** 2, BOHR_ANGSTROM * eps / mu)
 

@@ -5,8 +5,9 @@ the defining integrals, with none of the closed-form reductions used by
 the package itself, a band-edge scan of every subband, band-edge masses
 from extended-precision finite differences, solves of
 matrices assembled at the radius of each point (the path that the
-families of `trionlab.solver` replaced), and the Coulomb kernels as
-plain loops with one angular weight call per channel and label pair.
+families of `trionlab.solver` replaced), the Coulomb kernels as plain
+loops with one angular weight call per channel and label pair, and the
+exchange sectors of a trion basis built by loops.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -239,6 +240,39 @@ def general_trion(r, sigma, charge, basis, quad=DEFAULT_QUAD):
     b = scale_exponents(basis, r)
     t = assemble_trion(b, r, sigma, charge, quad)
     return solve_generalized(t.K + t.U, t.S), b
+
+
+def exchange_sectors(basis):
+    """(T_sym, T_anti): orthonormal columns (e_a + e_b)/sqrt(2), or e_a
+    when b = a, and (e_a - e_b)/sqrt(2), with b the image of basis
+    function a = (i, j, k, l) under exchange of the two identical
+    carriers: (j, i, k, l') with the labels of |sin(t1/2)| and
+    |sin(t2/2)| swapped.  Built by loops; the exponent lists of the two
+    carrier separations must be equal."""
+    ax, L = basis.axial, basis.angular.size
+    assert tuple(ax.alphas_i) == tuple(ax.alphas_j)
+    n, nk = len(ax.alphas_i), len(ax.alphas_k)
+    N = n * n * nk * L
+
+    def index(i, j, k, l):
+        return ((i * n + j) * nk + k) * L + l
+
+    sym, anti = [], []
+    for i in range(n):
+        for j in range(n):
+            for k in range(nk):
+                for l in range(L):
+                    a, b = index(i, j, k, l), index(j, i, k, (0, 2, 1, 3)[l])
+                    if a > b:
+                        continue
+                    plus, minus = np.zeros(N), np.zeros(N)
+                    plus[a] = minus[a] = 1.0
+                    plus[b] += 1.0
+                    minus[b] -= 1.0
+                    sym.append(plus / np.linalg.norm(plus))
+                    if a < b:
+                        anti.append(minus / np.linalg.norm(minus))
+    return np.array(sym).T, np.array(anti).T
 
 
 def general_exciton(r, basis, quad=DEFAULT_QUAD):

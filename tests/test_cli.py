@@ -39,6 +39,20 @@ def test_non_finite_tight_binding_parameter_rejected(field, value, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["trion", "--chirality", "6,5", "--epsilon", "nan"],
+    ["trion", "--chirality", "6,5", "--epsilon", "inf"],
+    ["sweep-species", "--rmin", "3.7", "--rmax", "3.8", "--epsilon", "nan"],
+    ["sweep-epsilon", "--chirality", "6,5", "--points", "3", "--stop", "nan"],
+])
+def test_non_finite_epsilon_rejected(argv, tmp_path, capsys):
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dielectric constant epsilon must be "
+                          "finite")
+    assert os.listdir(tmp_path) == []
+
+
 def test_metadata_and_header_present():
     code, text = _run(["exciton", "--radius", "0.1", "--model", "1d",
                        "--no-cache"])

@@ -11,21 +11,24 @@ from hypothesis import given, settings, strategies as st
 
 import trionlab
 import trionlab.solver as solver
-from oracle_utils import general_exciton, general_scf, general_trion
+from oracle_utils import (assemble_trion, exchange_sectors, general_exciton,
+                          general_scf, general_trion)
+from trionlab.angular import exchange_permutation
 from trionlab.analysis import (binding_both_charges, exciton_probability,
                                hf_pair_probability, sweep_radius, sweep_sigma,
                                trion_probability)
 from trionlab.assembly import (assemble_exciton, assemble_kinetic,
                                assemble_overlap, assemble_potential,
                                mixing_weight, repulsion_tensor)
-from trionlab.basis import (AxialBasis, BasisSpec, coulomb_potential,
-                            preset_basis, scale_exponents)
+from trionlab.basis import (AngularSet, AxialBasis, BasisSpec,
+                            coulomb_potential, preset_basis, scale_exponents)
 from trionlab.cli import main
 from trionlab.hartree_fock import hf_binding_energy, scf
 from trionlab.optimizer import optimize
-from trionlab.quadrature import QuadratureSpec
+from trionlab.quadrature import DEFAULT_QUAD, QuadratureSpec
 from trionlab.solver import (binding_energy, exciton_energy, exciton_ground,
-                             exciton_spectrum, trion_energy, trion_spectrum)
+                             exciton_spectrum, solve_generalized,
+                             trion_energy, trion_spectrum)
 
 CONTRACT_TOL = 1e-10    # Ry*, fast path against the path it replaces
 POINTS = [(s, c) for s in (0.0, 0.93, 1 / 0.93) for c in ("-", "+")
@@ -83,6 +86,99 @@ def test_family_spectra_match_general_path(r, model):
     assert np.allclose(exciton_probability(spec, basis, 41).values,
                        exciton_probability(ref, ref_basis, 41).values,
                        rtol=0, atol=1e-12)
+
+
+# --- exchange sectors --------------------------------------------------------
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_exchange_leaves_preset_matrices_invariant(model):
+    """P, the exchange of the two identical carriers, is the loop-built
+    image of each basis function and leaves S0, Ka, Km and U0 invariant."""
+    fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
+    P = exchange_permutation(fam.basis)
+    T_sym, T_anti = exchange_sectors(fam.basis)
+    a = np.arange(len(P))
+    assert np.array_equal(P[P], a)
+    assert np.array_equal(np.abs(T_anti[P]), np.abs(T_anti))
+    assert np.array_equal(T_sym[P], T_sym)
+    for M in (fam.S, *fam.parts):
+        assert np.abs(M[np.ix_(P, P)] - M).max() <= 1e-15 * np.abs(M).max()
+
+
+def _lowest_in(T, t):
+    """Lowest energy of the assembled trion t within the columns of T,
+    with the overlap modes below DROP_TOL times the largest eigenvalue of
+    the whole overlap dropped."""
+    e, v = np.linalg.eigh(T.T @ t.S @ T)
+    keep = e > solver.DROP_TOL * np.linalg.eigvalsh(t.S).max()
+    X = T @ v[:, keep] / np.sqrt(e[keep])
+    return np.linalg.eigvalsh(X.T @ (t.K + t.U) @ X)[0]
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.084, 0.3])
+def test_singlet_sector_holds_the_ground_state(r, model):
+    """On the contract grid the singlet E_T equals the whole-space solve
+    assembled at r and its exchange-symmetric sector, and the lowest
+    antisymmetric state, of the family and of the solve at r alike,
+    lies well above it."""
+    trion = preset_basis("trion" + model)
+    b = scale_exponents(trion, r)
+    T_sym, T_anti = exchange_sectors(b)
+    fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
+    n, x = fam.sectors[0], r / trion.r0
+    for sigma, charge in POINTS:
+        t = assemble_trion(b, r, sigma, charge)
+        ref = solve_generalized(t.K + t.U, t.S).energies[0]
+        e_t = trion_energy(r, sigma, charge, model)
+        assert e_t == pytest.approx(ref, abs=CONTRACT_TOL)
+        assert _lowest_in(T_sym, t) == pytest.approx(ref, abs=CONTRACT_TOL)
+        ka, km, u = (M[n:, n:] for M in fam.reduced)
+        h = ka + mixing_weight(sigma, charge) * km + x * u
+        triplet = np.linalg.eigvalsh(h)[0] / x ** 2
+        assert triplet == pytest.approx(_lowest_in(T_anti, t), abs=1e-8)
+        assert triplet > e_t + 0.4
+
+
+def test_trion_energy_diagonalizes_the_singlet_sector_alone(monkeypatch):
+    """trion_energy hands `_lowest` the singlet block of the presets (138
+    of the 246 retained modes in 2D, 66 of 110 in 1D); trion_spectrum
+    still solves every retained mode."""
+    dims, lowest = [], solver._lowest
+
+    def counted(h):
+        dims.append(h.shape)
+        return lowest(h)
+    monkeypatch.setattr(solver, "_lowest", counted)
+    trion_energy(0.1, 0.5, "-", "2d")
+    binding_energy(0.1, 0.5, "+", "1d")
+    assert dims == [(138, 138), (66, 66)]
+    for model, dim in (("2d", 246), ("1d", 110)):
+        assert trion_spectrum(0.1, 0.5, "-", model)[0].retained_dim == dim
+        fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
+        assert sum(fam.sectors) == dim
+
+
+UNEQUAL_IJ = BasisSpec(AxialBasis((0.2, 1.5, 9.0), (0.3, 2.0, 8.0),
+                                  (0.1, 1.7)), AngularSet.FULL4, "2d")
+TWO_LABELS = BasisSpec(AxialBasis((0.2, 1.5, 9.0), (0.2, 1.5, 9.0),
+                                  (0.1, 1.7)), AngularSet.EXCITON_PAIR, "2d")
+
+
+@pytest.mark.parametrize("basis", [UNEQUAL_IJ, TWO_LABELS],
+                         ids=["unequal_ij", "two_labels"])
+def test_basis_without_exchange_symmetry_has_one_sector(basis):
+    """Unequal carrier exponents, or the two-label angular set that the
+    exchange does not keep: one sector of every retained mode, and the
+    energies of the solve assembled at r."""
+    assert exchange_permutation(basis) is None
+    fam = solver.family("trion", basis, DEFAULT_QUAD)
+    assert fam.sectors == (fam.X.shape[1],)
+    for r, sigma, charge in ((0.05, 0.7, "-"), (0.2, 0.93, "+")):
+        ref = general_trion(r, sigma, charge, basis)[0]
+        assert trion_energy(r, sigma, charge, "2d", basis) == pytest.approx(
+            ref.energies[0], abs=CONTRACT_TOL)
+        spec, _ = trion_spectrum(r, sigma, charge, "2d", basis)
+        assert spec.retained_dim == ref.retained_dim
 
 
 def _detuned(kind, r0):

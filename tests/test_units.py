@@ -1,8 +1,8 @@
 """Effective Rydberg/Bohr unit conversions."""
 import pytest
 
-from trionlab import Environment, dimensionless_radius, effective_units, \
-    to_physical_energy
+from trionlab import EffectiveUnits, Environment, dimensionless_radius, \
+    effective_units, to_physical_energy
 
 
 def test_effective_units_scaling():
@@ -36,3 +36,24 @@ def test_validation():
         Environment(epsilon=0.5)
     with pytest.raises(ValueError):
         effective_units(-0.1, Environment())
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"),
+                                     -float("inf"), 0.5])
+def test_environment_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        Environment(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -0.1])
+def test_effective_units_reject_bad_mass(mu):
+    with pytest.raises(ValueError, match="reduced mass must be finite"):
+        effective_units(mu, Environment())
+
+
+@pytest.mark.parametrize("rydberg, bohr", [
+    (float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+    (1.0, float("inf")), (0.0, 1.0), (1.0, -1.0)])
+def test_unit_scales_must_be_finite_and_positive(rydberg, bohr):
+    with pytest.raises(ValueError, match="unit scales must be finite"):
+        EffectiveUnits(rydberg, bohr)
