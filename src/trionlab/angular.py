@@ -8,12 +8,13 @@ outer integrals whose integrands are periodic integrals of the form
 for angular weights g built from the basis functions {1, |sin(theta/2)|}.
 Every weight needed here has a closed form in terms of scaled Bessel
 functions and the Dawson function, except one (the autocorrelation of
-|sin(theta/2)|): its smooth remainder takes a fixed Gauss-Legendre rule
-on the points with q <= 200 and an asymptotic series in 1/q on the rest.
+|sin(theta/2)|): its smooth remainder is piecewise Chebyshev in sqrt(q)
+on q <= 200 and an asymptotic series in 1/q on the rest.
 """
 import math
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, i0e, i1e
 
@@ -48,13 +49,26 @@ def cos_weight(q):
 
 # Autocorrelation of |sin(t/2)|: c(v) = 2 sin(|v|/2) + (pi - |v|) cos(v/2).
 # The weighted integral splits into 2*sin_weight plus a smooth remainder
-# handled by Gauss-Legendre on [0, pi/2].
-_GL_ORDER = 64
-_gx, _gw = leggauss(_GL_ORDER)
-_gu = 0.5 * (_gx + 1.0) * (np.pi / 2.0)
-_gw = _gw * (np.pi / 4.0)
-_gf = (np.pi - 2.0 * _gu) * np.cos(_gu) * _gw
-_gs2 = np.sin(_gu) ** 2
+# 4 int_0^{pi/2} (pi - 2u) cos(u) exp(-q sin^2 u) du: on q <= 200, a
+# degree-24 Chebyshev series in sqrt(q) on each panel between _Q_EDGES,
+# fitted at Chebyshev points to a composite Gauss-Legendre rule (16 panels
+# x 32 nodes on [0, pi/2]).
+_Q_EDGES = np.array([0.0, 2.0, 8.0, 32.0, 200.0])
+
+
+def _fit_tail(deg=24):
+    """Centres, half-widths (in sqrt(q)) and coefficients of the panels."""
+    x, w = leggauss(32)
+    u = (np.arange(16)[:, None] + (x + 1.0) / 2.0).ravel() * (np.pi / 32.0)
+    f = np.pi / 16.0 * (np.pi - 2.0 * u) * np.cos(u) * np.tile(w, 16)
+    se, t = np.sqrt(_Q_EDGES), chebpts1(deg + 1)
+    mid, half = (se[1:] + se[:-1]) / 2.0, (se[1:] - se[:-1]) / 2.0
+    q = (mid[:, None, None] + half[:, None, None] * t[:, None]) ** 2
+    vals = (np.exp(-q * np.sin(u) ** 2) * f).sum(axis=-1)
+    return mid, half, chebfit(t, vals.T, deg).T
+
+
+_MID, _HALF, _TAIL_COEF = _fit_tail()
 
 
 # Large-q asymptotics of the same remainder: substituting s = sin(u) gives
@@ -66,12 +80,16 @@ _ASY_C = np.array([math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
 
 
 def _sincorr_tail(q):
-    """sincorr_weight - 2 sin_weight: Gauss-Legendre on the points with
-    q <= 200, the asymptotic series on the others (never both)."""
+    """sincorr_weight - 2 sin_weight: the Chebyshev panels on q <= 200, the
+    asymptotic series on the rest.  Every step is elementwise, so a value
+    does not depend on the other points passed with it."""
     q = np.asarray(q, float)
-    big = q > 200.0
+    panel = np.searchsorted(_Q_EDGES[1:], q)
+    big = panel == len(_TAIL_COEF)  # q > 200
     tail = np.empty_like(q)
-    tail[~big] = 4.0 * np.exp(-q[~big][:, None] * _gs2) @ _gf
+    for i, coef in enumerate(_TAIL_COEF):
+        m = panel == i
+        tail[m] = chebval((np.sqrt(q[m]) - _MID[i]) / _HALF[i], coef)
     x = 1.0 / q[big]
     tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) \
         - (_ASY_C * x[:, None] ** (_ASY_K + 1)).sum(axis=-1)

@@ -88,8 +88,8 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
 
 # Third-axis pair sums per pass of `_channel`.  A pass holds q and up to
 # four cached profiles on p1 * p2 * _CHUNK * (outer nodes) points, plus
-# the 64-node Gauss-Legendre temporary of `sincorr_weight` on its points
-# with q <= 200.  The presets have at most 15 third-axis sums and run in
+# the elementwise temporaries of the profile being evaluated, each no
+# larger than q.  The presets have at most 15 third-axis sums and run in
 # one pass; bases with 11 or more k exponents are split.
 _CHUNK = 64
 

@@ -4,6 +4,7 @@ Handlers import the numerics they use and run only on a cache miss.
 """
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -169,10 +170,23 @@ def cmd_probability(args):
     return {"kind": "trion"}, rows
 
 
-def cmd_sweep_radius(args):
+def _grid(args, quantity):
+    """np.linspace(--start, --stop, --points) of a sweep over `quantity`,
+    with a ValueError naming the option if an end is not finite or
+    --points is below 1."""
     import numpy as np
+    for opt in ("start", "stop"):
+        value = getattr(args, opt)
+        if not math.isfinite(value):
+            raise ValueError(f"{quantity} must be finite, got --{opt} {value}")
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    return np.linspace(args.start, args.stop, args.points)
+
+
+def cmd_sweep_radius(args):
     from . import analysis
-    grid = np.linspace(args.start, args.stop, args.points)
+    grid = _grid(args, "radius r")
     return {}, analysis.sweep_radius(grid, sigmas=(args.sigma or 0.0,),
                                      models=tuple(args.models.split(",")),
                                      methods=tuple(args.methods.split(",")),
@@ -180,18 +194,15 @@ def cmd_sweep_radius(args):
 
 
 def cmd_sweep_sigma(args):
-    import numpy as np
     from . import analysis
-    grid = np.linspace(args.start, args.stop, args.points)
-    return {}, analysis.sweep_sigma(args.radius, grid, args.model,
-                                    _quad(args))
+    return {}, analysis.sweep_sigma(args.radius, _grid(args, "sigma"),
+                                    args.model, _quad(args))
 
 
 def cmd_sweep_epsilon(args):
-    import numpy as np
     from . import analysis
     ch = parse_chirality(args.chirality)
-    grid = np.linspace(args.start, args.stop, args.points)
+    grid = _grid(args, "dielectric constant epsilon")
     rows, eb_fit, ex_fit = analysis.sweep_epsilon(ch, grid, _tb_params(args),
                                                   _quad(args))
     meta = {"fit_A_eV": eb_fit.A, "fit_p": eb_fit.p, "fit_C_eV": eb_fit.C,

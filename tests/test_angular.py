@@ -1,15 +1,19 @@
 """Closed-form angular integrals against direct adaptive quadrature."""
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from trionlab import angular
 
-# 200 is where sincorr_weight switches from its Gauss-Legendre branch
-# (q <= 200) to its asymptotic branch.
-QVALS = [0.0, 1e-6, 0.01, 0.3, 1.0, 4.7, 25.0, 199.0,
+# The tail of sincorr_weight is a Chebyshev series on the q panels with
+# edges 0, 2, 8, 32 and 200, and an asymptotic series for q > 200.
+QVALS = [0.0, 1e-6, 0.01, 0.3, 1.0, 2.0, 4.7, 8.0, 25.0, 32.0, 199.0,
          float(np.nextafter(200.0, 0.0)), 200.0,
          float(np.nextafter(200.0, np.inf)), 400.0, 2.5e4]
+# Each panel edge and its two floating-point neighbours.
+EDGE_QVALS = [float(v) for e in (2.0, 8.0, 32.0, 200.0)
+              for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
 
 
 def ring_integral(g, q):
@@ -53,6 +57,28 @@ def test_sincorr_weight(q):
     assert angular.sincorr_weight(q) == pytest.approx(
         ring_integral(corr, q), rel=1e-10)
 
+
+
+def mp_sincorr_tail(q):
+    """4 int_0^{pi/2} (pi - 2u) cos(u) exp(-q sin^2 u) du to 30 digits,
+    split where the peak at u = 0 (width 1/sqrt(q)) falls off."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        pts = [mpmath.mpf(0)]
+        if q > 1:
+            pts += [c / mpmath.sqrt(q) for c in (1, 3, 8)
+                    if c / mpmath.sqrt(q) < mpmath.pi / 2]
+        pts.append(mpmath.pi / 2)
+        return 4 * mpmath.quad(lambda u: (mpmath.pi - 2 * u) * mpmath.cos(u)
+                               * mpmath.exp(-q * mpmath.sin(u) ** 2), pts)
+
+
+@pytest.mark.parametrize("q", [0.0, 1e-6, 0.5, 4.7, 25.0, 199.0]
+                         + EDGE_QVALS)
+def test_sincorr_tail_against_mpmath(q):
+    want = mp_sincorr_tail(q)
+    got = angular._sincorr_tail(q)
+    assert abs(float((got - want) / want)) < 5e-15
 
 def dbl_ring_integral(g, carrier, q):
     """integral of g(t1,t2) exp(-q sin^2(carrier/2)) over [-pi, pi]^2."""
@@ -109,12 +135,10 @@ def test_power_corr_weight_invalid():
 
 def test_weights_vectorized_shape():
     """Arrays, Python scalars, 0-d and empty arrays, on both sides of the
-    sincorr_weight branch switch.  Values match one array holding every
-    point to a few ulps: the Gauss-Legendre dot product of sincorr_weight
-    may round the last bit differently with the number of points on its
-    branch."""
+    sincorr_weight branch switch.  Every profile is evaluated elementwise,
+    so a value is bit-identical whatever other points share the call."""
     q = np.linspace(0.0, 10.0, 7).reshape(7, 1) * np.ones((1, 3))
-    qs = [0.5, 200.0, 350.0]
+    qs = [0.5, 5.0, 20.0, 100.0, 200.0, 350.0]
     for fn in (angular.flat_weight, angular.sin_weight, angular.sin2_weight,
                angular.cos_weight, angular.sincorr_weight):
         assert fn(q).shape == q.shape
@@ -122,9 +146,8 @@ def test_weights_vectorized_shape():
         for i, qi in enumerate(qs):
             for arg in (qi, np.asarray(qi)):
                 assert np.shape(fn(arg)) == ()
-                assert fn(arg) == pytest.approx(ref[i], rel=1e-15, abs=0)
+                assert fn(arg) == ref[i]
         for shape in ((0,), (2, 0)):
             assert fn(np.empty(shape)).shape == shape
-        mixed = fn(np.array(qs[::-1] * 2).reshape(2, 3))
-        np.testing.assert_allclose(mixed, np.tile(ref[::-1], (2, 1)),
-                                   rtol=1e-15, atol=0)
+        mixed = fn(np.array(qs[::-1] * 2).reshape(2, -1))
+        np.testing.assert_array_equal(mixed, np.tile(ref[::-1], (2, 1)))

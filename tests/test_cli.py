@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import warnings
 
 import pytest
 
@@ -50,6 +51,30 @@ def test_non_finite_epsilon_rejected(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: dielectric constant epsilon must be "
                           "finite")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    (["sweep-radius"], "radius r"), (["sweep-sigma"], "sigma"),
+    (["sweep-epsilon", "--chirality", "6,5"], "dielectric constant epsilon"),
+])
+@pytest.mark.parametrize("option, value, message", [
+    ("--start", "-inf", "{name} must be finite, got --start -inf"),
+    ("--stop", "inf", "{name} must be finite, got --stop inf"),
+    ("--stop", "nan", "{name} must be finite, got --stop nan"),
+    ("--points", "0", "--points must be >= 1, got 0"),
+    ("--points", "-2", "--points must be >= 1, got -2"),
+])
+def test_bad_sweep_grid_rejected(command, name, option, value, message,
+                                 tmp_path, capsys):
+    """Every sweep checks its grid before any numerics run: one error line
+    naming the option, no numpy warning, nothing cached."""
+    argv = command + [f"{option}={value}", "--cache-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(name=name)}\n"
     assert os.listdir(tmp_path) == []
 
 
