@@ -16,6 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from scipy.special import dawsn, i0e, i1e
 
 
@@ -74,9 +75,9 @@ _MID, _HALF, _TAIL_COEF = _fit_tail()
 # Large-q asymptotics of the same remainder: substituting s = sin(u) gives
 # 4 int_0^1 (pi - 2 asin s) exp(-q s^2) ds; the asin part expands into a
 # series in 1/q whose terms fall off factorially fast for q > 200.
-_ASY_K = np.arange(13)
+# polyval sums it by Horner's rule.
 _ASY_C = np.array([math.comb(2 * k, k) / (4 ** k * (2 * k + 1))
-                   * math.factorial(k) * 4.0 for k in _ASY_K])
+                   * math.factorial(k) * 4.0 for k in range(13)])
 
 
 def _sincorr_tail(q):
@@ -91,8 +92,7 @@ def _sincorr_tail(q):
         m = panel == i
         tail[m] = chebval((np.sqrt(q[m]) - _MID[i]) / _HALF[i], coef)
     x = 1.0 / q[big]
-    tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) \
-        - (_ASY_C * x[:, None] ** (_ASY_K + 1)).sum(axis=-1)
+    tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) - x * polyval(x, _ASY_C)
     return tail
 
 

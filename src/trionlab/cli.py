@@ -95,7 +95,7 @@ def cmd_bands(args):
     ch = parse_chirality(args.chirality)
     p = _tb_params(args)
     N, Tlen = tb.cutting_lines(ch, p)
-    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, args.points)
+    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, _points(args))
     rows = [{"subband": mu, "k_invA": k, "E_c_eV": c, "E_v_eV": v}
             for mu in range(N)
             for k, c, v in zip(ks, *tb.subband_energies(ch, mu, ks, p))]
@@ -170,6 +170,13 @@ def cmd_probability(args):
     return {"kind": "trion"}, rows
 
 
+def _points(args):
+    """--points, with a ValueError naming it if below 1."""
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    return args.points
+
+
 def _grid(args, quantity):
     """np.linspace(--start, --stop, --points) of a sweep over `quantity`,
     with a ValueError naming the option if an end is not finite or
@@ -179,9 +186,7 @@ def _grid(args, quantity):
         value = getattr(args, opt)
         if not math.isfinite(value):
             raise ValueError(f"{quantity} must be finite, got --{opt} {value}")
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
-    return np.linspace(args.start, args.stop, args.points)
+    return np.linspace(args.start, args.stop, _points(args))
 
 
 def cmd_sweep_radius(args):

@@ -10,8 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_QUAD
-from .solver import (TrionResult, _check_symmetric, _orthogonalizer,
-                     exciton_ground, family_at)
+from .solver import TrionResult, exciton_ground, family_at
+
+WARMUP_TOL = 1e-2      # |g| at which Newton takes over from damped steps
+RESIDUAL_TOL = 1e-12   # |g| of a converged orbital
+EPS_TOL = 1e-10        # and the last change of eps0, Ry*
 
 
 @dataclass(frozen=True)
@@ -29,37 +32,54 @@ def hartree_matrix(rho, V4):
     return np.einsum("abcd,cd->ab", V4, rho)
 
 
-def scf(r, model="2d", basis=None, mixing=0.5, tol=1e-8, max_iter=200,
-        quad=DEFAULT_QUAD):
-    """Self-consistent single-orbital solution at radius r."""
-    if not 0 < mixing <= 1:
-        raise ValueError("mixing must be in (0, 1]")
+def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
+    """Self-consistent single-orbital solution at radius r.
+
+    Solves F y = eps y, |y| = 1, in the family's retained modes, where
+    F = h + J(y y^T), h = (k/x + u)/x and chi = X0 y / sqrt(x): damped
+    Roothaan steps until |g| = |F y - eps y| < WARMUP_TOL, then Newton
+    steps on [[F + 2K - eps, y], [y^T, 0]] until |g| <= RESIDUAL_TOL and
+    eps moved by less than EPS_TOL.  history holds eps of h alone, then
+    eps = y^T F y of each iterate.  Raises unless eps is the lowest
+    eigenvalue of its own F.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     fam, x, bound = family_at("hf", model, r, basis, quad)
-    h, S, V4 = fam.hf_matrices(x)
-    _check_symmetric(S)
-    X, _ = _orthogonalizer(S)        # S is the same in every iteration
+    k, u = fam.reduced
+    h = (k / x + u) / x
 
-    def lowest(F):
-        _check_symmetric(F)
-        e, c = np.linalg.eigh(X.T @ F @ X)
-        return float(e[0]), (X @ c)[:, 0]
+    def field(V, y):
+        return (V @ np.outer(y, y).ravel()).reshape(h.shape) / x
 
-    eps0, chi = lowest(h)          # V_H = 0 start: exciton-like orbital
-    history = [eps0]
-    rho = np.outer(chi, chi)
-    converged = False
+    e, v = np.linalg.eigh(h)        # V_H = 0 start: exciton-like orbital
+    y, history, F_damped = v[:, 0], [float(e[0])], None
+    newton = False
     for _ in range(max_iter):
-        F = h + hartree_matrix(rho, V4)
-        eps0, chi = lowest(F)
-        history.append(eps0)
-        rho = mixing * np.outer(chi, chi) + (1.0 - mixing) * rho
-        if abs(history[-1] - history[-2]) < tol:
-            converged = True
+        F = h + field(fam.Vj, y)
+        eps = float(y @ F @ y)
+        g = F @ y - eps * y
+        res = np.linalg.norm(g)
+        history.append(eps)
+        converged = res <= RESIDUAL_TOL and abs(eps - history[-2]) < EPS_TOL
+        if converged:
             break
-    VH = hartree_matrix(np.outer(chi, chi), V4)
-    e_total = bound(2.0 * history[-1] - chi @ VH @ chi)
-    return HFState(chi, history[-1], float(e_total), len(history) - 1,
-                   converged, tuple(history))
+        newton = newton or res < WARMUP_TOL
+        if newton:
+            H = F + 2.0 * field(fam.Vk, y) - eps * np.eye(len(y))
+            A = np.block([[H, y[:, None]], [y, 0.0]])
+            y = y + np.linalg.solve(A, np.append(-g, 0.0))[:-1]
+            y /= np.linalg.norm(y)
+        else:                       # the first Roothaan step is undamped
+            F_damped = F if F_damped is None else 0.5 * (F_damped + F)
+            y = np.linalg.eigh(F_damped)[1][:, 0]
+    if converged and np.argmin(np.abs(np.linalg.eigvalsh(F) - eps)) != 0:
+        raise RuntimeError(f"SCF at r={r} ({model}) converged to an excited "
+                           f"orbital: eps0 = {eps:.6g} Ry* is not the lowest "
+                           "eigenvalue of its Fock matrix")
+    e_total = bound(2.0 * eps - y @ (F - h) @ y)
+    return HFState(fam.X @ y / np.sqrt(x), eps, float(e_total),
+                   len(history) - 1, converged, tuple(history))
 
 
 def hf_binding_energy(r, model="2d", basis=None, exciton_basis=None,

@@ -126,7 +126,8 @@ class Family:
     (w = `mixing_weight(sigma, charge)`).  So one eigenproblem in the
     retained modes X0 of S0 solves each (r, sigma, charge) point, and the
     coefficients in the scaled basis are X0 v / x (trion) or
-    X0 v / sqrt(x) (exciton).
+    X0 v / sqrt(x) (exciton and hf).  The hf family keeps V~0, V4_0 with
+    each index reduced by X0, as Vj[(a, b), (c, d)] = Vk[(a, c), (b, d)].
 
     For a trion basis with exchange symmetry P, X0 = [X_sym | X_anti]
     spans the exchange-symmetric (singlet) sector and then the
@@ -141,18 +142,14 @@ class Family:
     X: np.ndarray           # X0, from `_orthogonalizer(S0, sectors)`
     sectors: tuple          # retained modes per sector, singlet first
     reduced: tuple          # X0^T M X0 for each M in parts
-    V4: np.ndarray = None   # repulsion tensor at r0 (hf only)
-
-    def hf_matrices(self, x):
-        """(h, S, V4) of the single-orbital mean field at x = r/r0."""
-        K0, U0 = self.parts
-        return K0 / x + U0, x * self.S, x * self.V4
+    Vj: np.ndarray = None   # V~0 in the (a, b), (c, d) layout (hf only)
+    Vk: np.ndarray = None   # V~0 in the (a, c), (b, d) layout (hf only)
 
 
 def family(problem, basis, quad):
     """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
-    V4 = sectors = None
+    V4 = sectors = Vj = Vk = None
     if problem == "trion":
         S = assemble_overlap(basis)
         Ka = assemble_kinetic(basis, 0.0, r0)
@@ -168,9 +165,13 @@ def family(problem, basis, quad):
             V4 = repulsion_tensor(basis.axial.alphas_i, r0, n_ang, quad)
     _check_symmetric(S, *parts)
     X, dims = _orthogonalizer(S, sectors)
+    if V4 is not None:
+        V4 = np.einsum("abcd,aA,bB,cC,dD->ABCD", V4, X, X, X, X, optimize=True)
+        m2 = X.shape[1] ** 2
+        Vj, Vk = V4.reshape(m2, m2), V4.transpose(0, 2, 1, 3).reshape(m2, m2)
     fam = Family(basis, S, parts, X, dims,
-                 tuple(X.T @ M @ X for M in parts), V4)
-    for M in (S, X, V4, *parts, *fam.reduced):
+                 tuple(X.T @ M @ X for M in parts), Vj, Vk)
+    for M in (S, X, Vj, Vk, *parts, *fam.reduced):
         if M is not None:
             M.flags.writeable = False   # a preset family is shared
     return fam

@@ -74,7 +74,7 @@ def mp_sincorr_tail(q):
 
 
 @pytest.mark.parametrize("q", [0.0, 1e-6, 0.5, 4.7, 25.0, 199.0]
-                         + EDGE_QVALS)
+                         + EDGE_QVALS + [350.0, 1e3, 1e6])
 def test_sincorr_tail_against_mpmath(q):
     want = mp_sincorr_tail(q)
     got = angular._sincorr_tail(q)

@@ -78,6 +78,18 @@ def test_bad_sweep_grid_rejected(command, name, option, value, message,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_bad_bands_points_rejected(value, tmp_path, capsys):
+    """bands checks --points as the sweeps do: no empty table, no numpy
+    message, nothing cached."""
+    argv = ["bands", "--chirality", "4,2", f"--points={value}",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --points must be >= 1, got {value}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_metadata_and_header_present():
     code, text = _run(["exciton", "--radius", "0.1", "--model", "1d",
                        "--no-cache"])

@@ -37,10 +37,10 @@ POINTS = [(s, c) for s in (0.0, 0.93, 1 / 0.93) for c in ("-", "+")
 
 # --- the family against solves assembled at r -------------------------------
 def _check_scf(state, r, basis):
-    """E_T_HF, iteration count and density of `scf` against the oracle."""
-    e_ref, chi_ref, iterations = general_scf(r, basis)
-    assert state.iterations == iterations
-    assert state.E_T_HF == pytest.approx(e_ref, abs=CONTRACT_TOL)
+    """E_T_HF and density of `scf` against the oracle's damped loop run
+    to its fixed point."""
+    e_ref, chi_ref, _ = general_scf(r, basis, tol=1e-15, max_iter=5000)
+    assert state.E_T_HF == pytest.approx(e_ref, abs=1e-11)
     rho, rho_ref = (np.outer(c, c) for c in (state.orbital_coeffs, chi_ref))
     assert np.abs(rho - rho_ref).max() < 1e-9 * np.abs(rho_ref).max()
 

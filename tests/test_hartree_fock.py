@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from trionlab import AngularSet, AxialBasis, BasisSpec, binding_energy, scf
+from trionlab import hartree_fock
 from trionlab.assembly import assemble_exciton, repulsion_tensor
+from trionlab.basis import preset_basis, scale_exponents
 from trionlab.hartree_fock import hartree_matrix, hf_binding_energy
-from trionlab.solver import exciton_ground
+from trionlab.solver import exciton_ground, solve_generalized
 
 SMALL = BasisSpec(AxialBasis((0.07, 0.9, 6.0, 40.0), (1.0,), (1.0,)),
                   AngularSet.EXCITON_PAIR, "2d")
@@ -56,8 +58,6 @@ def test_scf_converges_with_small_residual():
     assert abs(state.history[-1] - state.history[-2]) < 1e-8
     assert state.iterations <= 200
     # orbital is S-normalized
-    from trionlab.basis import preset_basis, scale_exponents
-
     basis = scale_exponents(preset_basis("hf2d"), 0.2)
     t = assemble_exciton(basis, 0.2)
     c = state.orbital_coeffs
@@ -73,8 +73,6 @@ def test_scf_deterministic():
 
 def test_scf_energy_consistency():
     """E_T = 2 eps0 - <chi|V_H|chi> with the converged orbital."""
-    from trionlab.basis import preset_basis, scale_exponents
-
     r = 0.25
     state = scf(r)
     basis = scale_exponents(preset_basis("hf2d"), r)
@@ -85,11 +83,35 @@ def test_scf_energy_consistency():
         2.0 * state.epsilon0 - chi @ VH @ chi, rel=1e-9)
 
 
-def test_scf_validation():
-    with pytest.raises(ValueError):
-        scf(0.1, mixing=0.0)
-    with pytest.raises(ValueError):
-        scf(0.1, mixing=1.5)
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3, 1.0])
+def test_scf_orbital_is_aufbau(r, model):
+    """eps0 is the lowest eigenvalue of the Fock matrix of the converged
+    orbital, assembled and solved at r."""
+    state = scf(r, model)
+    basis = scale_exponents(preset_basis("hf" + model), r)
+    t = assemble_exciton(basis, r)
+    n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
+    V4 = repulsion_tensor(basis.axial.alphas_i, r, n_ang)
+    chi = state.orbital_coeffs
+    F = t.K + t.U + hartree_matrix(np.outer(chi, chi), V4)
+    assert state.converged
+    assert state.epsilon0 == pytest.approx(
+        solve_generalized(F, t.S).energies[0], abs=1e-10)
+
+
+def test_scf_rejects_an_excited_fixed_point(monkeypatch):
+    """Newton from the exciton orbital, with no damped warm-up, ends on a
+    stationary orbital that is not the lowest of its Fock matrix at 2D,
+    r = 0.1; scf raises rather than report it."""
+    monkeypatch.setattr(hartree_fock, "WARMUP_TOL", np.inf)
+    with pytest.raises(RuntimeError, match="converged to an excited orbital"):
+        scf(0.1, "2d")
+
+
+def test_scf_max_iter_validation():
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        scf(0.1, max_iter=0)
 
 
 def test_hf_underbinds_the_exact_trion():
