@@ -139,7 +139,12 @@ def binding_both_charges(r, sigma, model="2d", quad=DEFAULT_QUAD):
 
 def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),
                  methods=("full",), quad=DEFAULT_QUAD):
-    """Rows (r, sigma, model, method, charge, E_X, E_T, E_B) in Ry*."""
+    """Rows (r, sigma, model, method, charge, E_X, E_T, E_B) in Ry*;
+    `methods` holds "full" (exact variational) and/or "hf"."""
+    unknown = [m for m in methods if m not in ("full", "hf")]
+    if unknown:
+        raise ValueError(f"unknown sweep method {unknown[0]!r} "
+                         "(methods are full, hf)")
     if r_grid is None:
         r_grid = np.linspace(0.02, 0.3, 30)
     rows = []

@@ -148,30 +148,44 @@ _TRION2D_AIJ = (0.165, 1.68, 9.65, 48.7)
 _TRION2D_AK = (0.0000171, 1.68, 9.98, 48.7)
 _HF_ALPHAS = (0.0648, 0.195, 1.04, 5.28, 27.5, 99.3, 250.0)
 
-_PRESETS = {
-    "exciton1d": lambda: BasisSpec(
-        AxialBasis(_EXCITON_ALPHAS, (1.0,), (1.0,)), AngularSet.CONSTANT, "1d"),
-    "exciton2d": lambda: BasisSpec(
-        AxialBasis(_EXCITON_ALPHAS, (1.0,), (1.0,)), AngularSet.EXCITON_PAIR, "2d"),
-    "trion1d": lambda: BasisSpec(
-        AxialBasis(_TRION1D_ALPHAS, _TRION1D_ALPHAS, _TRION1D_ALPHAS),
-        AngularSet.CONSTANT, "1d"),
-    "trion2d": lambda: BasisSpec(
-        AxialBasis(_TRION2D_AIJ, _TRION2D_AIJ, _TRION2D_AK),
-        AngularSet.FULL4, "2d"),
-    "hf1d": lambda: BasisSpec(
-        AxialBasis(_HF_ALPHAS, (1.0,), (1.0,)), AngularSet.CONSTANT, "1d"),
-    "hf2d": lambda: BasisSpec(
-        AxialBasis(_HF_ALPHAS, (1.0,), (1.0,)), AngularSet.EXCITON_PAIR, "2d"),
+_PRESET_GROUPS = {
+    "exciton1d": (_EXCITON_ALPHAS,), "exciton2d": (_EXCITON_ALPHAS,),
+    "trion1d": (_TRION1D_ALPHAS,), "trion2d": (_TRION2D_AIJ, _TRION2D_AK),
+    "hf1d": (_HF_ALPHAS,), "hf2d": (_HF_ALPHAS,),
 }
+
+
+def tied_basis(problem, model, groups):
+    """The basis of `problem` ("exciton", "trion" or "hf") in `model` from
+    its tied exponent groups: one list for the pair coordinate of the
+    exciton and the mean field and for all three trion coordinates in 1D;
+    in 2D the trion's electron-hole pair shares one list and the
+    electron-electron coordinate has the other."""
+    if problem in ("exciton", "hf"):
+        (al,) = groups
+        ang = AngularSet.CONSTANT if model == "1d" else AngularSet.EXCITON_PAIR
+        return BasisSpec(AxialBasis(al, (1.0,), (1.0,)), ang, model)
+    if problem == "trion":
+        if model == "1d":
+            (al,) = groups
+            return BasisSpec(AxialBasis(al, al, al), AngularSet.CONSTANT, "1d")
+        aij, ak = groups
+        return BasisSpec(AxialBasis(aij, aij, ak), AngularSet.FULL4, "2d")
+    raise ValueError(f"unknown problem {problem!r}")
+
+
+def preset_groups(kind):
+    """Optimized tied exponent groups of preset `kind`, e.g. "trion2d"
+    (reference radius r0 = 0.1)."""
+    try:
+        return _PRESET_GROUPS[kind]
+    except KeyError:
+        raise ValueError(f"unknown preset {kind!r}") from None
 
 
 def preset_basis(kind):
     """Optimized exponent sets (reference radius r0 = 0.1)."""
-    try:
-        return _PRESETS[kind]()
-    except KeyError:
-        raise ValueError(f"unknown preset {kind!r}") from None
+    return tied_basis(kind[:-2], kind[-2:], preset_groups(kind))
 
 
 def scale_exponents(basis, r):

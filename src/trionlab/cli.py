@@ -63,17 +63,17 @@ def _quad(args):
 
 
 def _context(args):
-    """Resolve (r in a_B*, sigma, units or None) from CLI inputs."""
+    """Resolve (r in a_B*, the species' sigma or 0, units or None) from CLI
+    inputs; the handlers that take --sigma let it override that sigma."""
     from . import analysis, units
     if args.chirality:
         ch = parse_chirality(args.chirality)
         masses, u, _, r = analysis.species_units(
             ch, units.Environment(args.epsilon), _tb_params(args))
-        sigma = args.sigma if args.sigma is not None else masses.sigma
-        return r, sigma, u
+        return r, masses.sigma, u
     if args.radius is None:
         raise ValueError("either --chirality or --radius is required")
-    return args.radius, (args.sigma if args.sigma is not None else 0.0), None
+    return args.radius, 0.0, None
 
 
 # --- subcommand handlers (return metadata, rows) ----------------------------
@@ -95,7 +95,7 @@ def cmd_bands(args):
     ch = parse_chirality(args.chirality)
     p = _tb_params(args)
     N, Tlen = tb.cutting_lines(ch, p)
-    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, _points(args))
+    ks = np.linspace(-np.pi / Tlen, np.pi / Tlen, _count(args, "points"))
     rows = [{"subband": mu, "k_invA": k, "E_c_eV": c, "E_v_eV": v}
             for mu in range(N)
             for k, c, v in zip(ks, *tb.subband_energies(ch, mu, ks, p))]
@@ -115,6 +115,7 @@ def cmd_exciton(args):
 def cmd_trion(args):
     from . import solver, units
     r, sigma, u = _context(args)
+    sigma = sigma if args.sigma is None else args.sigma
     res = solver.binding_energy(r, sigma, args.charge, args.model,
                                 quad=_quad(args))
     row = {"r_aB": r, "sigma": sigma, "model": args.model,
@@ -140,9 +141,7 @@ def cmd_hf(args):
 
 def cmd_optimize(args):
     from . import basis, optimizer
-    ax = basis.preset_basis(args.problem + args.model).axial
-    initial = ((ax.alphas_i, ax.alphas_k)
-               if args.problem + args.model == "trion2d" else (ax.alphas_i,))
+    initial = basis.preset_groups(args.problem + args.model)
     run = optimizer.optimize(args.problem, args.model, initial, r0=args.r0,
                              max_steps=args.max_steps, quad=_quad(args))
     rows = [{"step": i, "objective_Ry": e} for i, e in enumerate(run.history)]
@@ -154,27 +153,30 @@ def cmd_optimize(args):
 
 def cmd_probability(args):
     from . import analysis, solver
+    points = _count(args, "grid")
     r, sigma, _ = _context(args)
+    sigma = sigma if args.sigma is None else args.sigma
     quad = _quad(args)
     if args.kind == "exciton":
         spec, basis = solver.exciton_spectrum(r, args.model, quad=quad)
-        grid = analysis.exciton_probability(spec, basis, args.grid, r=r)
+        grid = analysis.exciton_probability(spec, basis, points, r=r)
         rows = [{"theta": t, "P": v}
                 for t, v in zip(grid.theta, grid.values)]
         return {"kind": "exciton"}, rows
     spec, basis = solver.trion_spectrum(r, sigma, "-", args.model, quad=quad)
-    grid = analysis.trion_probability(spec, basis, args.grid, r=r)
+    grid = analysis.trion_probability(spec, basis, points, r=r)
     rows = [{"theta1": t1, "theta2": t2, "P": grid.values[i, j]}
             for i, t1 in enumerate(grid.theta)
             for j, t2 in enumerate(grid.theta)]
     return {"kind": "trion"}, rows
 
 
-def _points(args):
-    """--points, with a ValueError naming it if below 1."""
-    if args.points < 1:
-        raise ValueError(f"--points must be >= 1, got {args.points}")
-    return args.points
+def _count(args, option):
+    """The count --`option`, with a ValueError naming it if below 1."""
+    value = getattr(args, option)
+    if value < 1:
+        raise ValueError(f"--{option} must be >= 1, got {value}")
+    return value
 
 
 def _grid(args, quantity):
@@ -186,7 +188,7 @@ def _grid(args, quantity):
         value = getattr(args, opt)
         if not math.isfinite(value):
             raise ValueError(f"{quantity} must be finite, got --{opt} {value}")
-    return np.linspace(args.start, args.stop, _points(args))
+    return np.linspace(args.start, args.stop, _count(args, "points"))
 
 
 def cmd_sweep_radius(args):
@@ -224,13 +226,75 @@ def cmd_sweep_species(args):
     return {"species": len(rows)}, rows
 
 
-HANDLERS = {
-    "masses": cmd_masses, "bands": cmd_bands, "exciton": cmd_exciton,
-    "trion": cmd_trion, "hf": cmd_hf, "optimize": cmd_optimize,
-    "probability": cmd_probability, "sweep-radius": cmd_sweep_radius,
-    "sweep-sigma": cmd_sweep_sigma, "sweep-epsilon": cmd_sweep_epsilon,
-    "sweep-species": cmd_sweep_species,
+# --- the subcommand table ---------------------------------------------------
+# Options that several commands take, each declared once; a command names
+# those its handler reads, with keywords (e.g. its default) that override.
+SHARED = {
+    "chirality": dict(help="n,m"),
+    "epsilon": dict(type=float, default=3.5),
+    "radius": dict(type=float, help="radius in a_B*"),
+    "sigma": dict(type=float),
+    "model": dict(choices=("1d", "2d"), default="2d"),
+    "t": dict(type=float, default=-2.89),
+    "s": dict(type=float, default=0.1),
+    "a": dict(type=float, default=2.46),
+    "outer-order": dict(type=int, default=DEFAULT_QUAD.outer_order),
+    "start": dict(type=float),
+    "stop": dict(type=float),
+    "points": dict(type=int),
 }
+# How a result is read and written, not what it is: every command takes
+# these, and none of them is part of the cache key.
+IO_OPTIONS = {
+    "config": dict(help="key = value config file"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "output": dict(help="output path (default stdout)"),
+    "cache-dir": dict(help="cache directory (default $TRIONLAB_CACHE)"),
+    "no-cache": dict(action="store_true"),
+}
+
+TIGHT_BINDING = {"t": {}, "s": {}, "a": {}}
+SPECIES = {"chirality": {"required": True}, **TIGHT_BINDING}
+POINT = {"chirality": {}, "epsilon": {}, "radius": {}, "model": {},
+         "outer-order": {}, **TIGHT_BINDING}
+
+
+def _sweep(start, stop, points):
+    return {"start": {"default": start}, "stop": {"default": stop},
+            "points": {"default": points}, "outer-order": {}}
+
+
+COMMANDS = {   # name: (handler, help, the options the handler reads)
+    "masses": (cmd_masses, "effective masses of one species", SPECIES),
+    "bands": (cmd_bands, "folded subband structure",
+              {**SPECIES, "points": {"default": 201}}),
+    "exciton": (cmd_exciton, "exciton binding energy", POINT),
+    "trion": (cmd_trion, "trion binding energy",
+              {**POINT, "sigma": {},
+               "charge": {"choices": ("-", "+"), "default": "-"}}),
+    "hf": (cmd_hf, "mean-field trion binding energy", POINT),
+    "optimize": (cmd_optimize, "optimize basis exponents", {
+        "problem": {"choices": ("exciton", "trion", "hf"), "required": True},
+        "model": {}, "r0": {"type": float, "default": 0.1},
+        "max-steps": {"type": int, "default": 100}, "outer-order": {}}),
+    "probability": (cmd_probability, "angular probability grid", {
+        **POINT, "sigma": {}, "grid": {"type": int, "default": 201},
+        "kind": {"choices": ("exciton", "trion"), "default": "trion"}}),
+    "sweep-radius": (cmd_sweep_radius, "binding energies vs radius", {
+        **_sweep(0.02, 0.3, 30), "sigma": {"default": 0.0},
+        "models": {"default": "1d,2d"}, "methods": {"default": "full"}}),
+    "sweep-sigma": (cmd_sweep_sigma, "binding energies vs mass fraction", {
+        "radius": {"default": 0.1}, **_sweep(0.0, 1.0, 11), "model": {}}),
+    "sweep-epsilon": (cmd_sweep_epsilon,
+                      "binding energies vs dielectric constant",
+                      {**SPECIES, **_sweep(2.0, 5.0, 13)}),
+    "sweep-species": (cmd_sweep_species,
+                      "all semiconducting species in a radius range",
+                      {"rmin": {"type": float, "default": 3.0},
+                       "rmax": {"type": float, "default": 15.0},
+                       "epsilon": {}, "outer-order": {}, **TIGHT_BINDING}),
+}
+HANDLERS = {name: entry[0] for name, entry in COMMANDS.items()}
 
 
 def build_parser():
@@ -239,91 +303,10 @@ def build_parser():
         description="Exciton and trion binding energies of carbon nanotubes")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, chirality=False):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--cache-dir", help="cache directory "
-                       "(default $TRIONLAB_CACHE)")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--outer-order", type=int,
-                       default=DEFAULT_QUAD.outer_order)
-        p.add_argument("--t", type=float, default=-2.89)
-        p.add_argument("--s", type=float, default=0.1)
-        p.add_argument("--a", type=float, default=2.46)
-        if chirality:
-            p.add_argument("--chirality", required=True, help="n,m")
-
-    def physics(p):
-        common(p)
-        p.add_argument("--chirality", help="n,m")
-        p.add_argument("--epsilon", type=float, default=3.5)
-        p.add_argument("--radius", type=float, help="radius in a_B*")
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--model", choices=("1d", "2d"), default="2d")
-
-    p = sub.add_parser("masses", help="effective masses of one species")
-    common(p, chirality=True)
-
-    p = sub.add_parser("bands", help="folded subband structure")
-    common(p, chirality=True)
-    p.add_argument("--points", type=int, default=201)
-
-    p = sub.add_parser("exciton", help="exciton binding energy")
-    physics(p)
-
-    p = sub.add_parser("trion", help="trion binding energy")
-    physics(p)
-    p.add_argument("--charge", choices=("-", "+"), default="-")
-
-    p = sub.add_parser("hf", help="mean-field trion binding energy")
-    physics(p)
-
-    p = sub.add_parser("optimize", help="optimize basis exponents")
-    common(p)
-    p.add_argument("--problem", choices=("exciton", "trion", "hf"),
-                   required=True)
-    p.add_argument("--model", choices=("1d", "2d"), default="2d")
-    p.add_argument("--r0", type=float, default=0.1)
-    p.add_argument("--max-steps", type=int, default=100)
-
-    p = sub.add_parser("probability", help="angular probability grid")
-    physics(p)
-    p.add_argument("--kind", choices=("exciton", "trion"), default="trion")
-    p.add_argument("--grid", type=int, default=201)
-
-    p = sub.add_parser("sweep-radius", help="binding energies vs radius")
-    common(p)
-    p.add_argument("--start", type=float, default=0.02)
-    p.add_argument("--stop", type=float, default=0.3)
-    p.add_argument("--points", type=int, default=30)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--models", default="1d,2d")
-    p.add_argument("--methods", default="full")
-
-    p = sub.add_parser("sweep-sigma", help="binding energies vs mass fraction")
-    common(p)
-    p.add_argument("--radius", type=float, default=0.1)
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=11)
-    p.add_argument("--model", choices=("1d", "2d"), default="2d")
-
-    p = sub.add_parser("sweep-epsilon",
-                       help="binding energies vs dielectric constant")
-    common(p, chirality=True)
-    p.add_argument("--start", type=float, default=2.0)
-    p.add_argument("--stop", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=13)
-
-    p = sub.add_parser("sweep-species",
-                       help="all semiconducting species in a radius range")
-    common(p)
-    p.add_argument("--rmin", type=float, default=3.0)
-    p.add_argument("--rmax", type=float, default=15.0)
-    p.add_argument("--epsilon", type=float, default=3.5)
-
+    for name, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt, keywords in {**IO_OPTIONS, **options}.items():
+            p.add_argument("--" + opt, **{**SHARED.get(opt, {}), **keywords})
     return parser, sub.choices
 
 
@@ -370,11 +353,9 @@ def run(argv, stdout=None):
     # the cache key holds what the numbers depend on, not how they are
     # written out (cache.config_key adds the package's source digest)
     config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("output", "cache_dir", "no_cache", "config",
-                           "format")}
+              if k.replace("_", "-") not in IO_OPTIONS}
     key = config_key(config)
-    cache = ResultCache.from_environment(getattr(args, "cache_dir", None),
-                                         getattr(args, "no_cache", False))
+    cache = ResultCache.from_environment(args.cache_dir, args.no_cache)
     payload = cache.get(key)
     if payload is None:
         metadata, rows = HANDLERS[args.command](args)

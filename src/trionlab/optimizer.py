@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AngularSet, AxialBasis, BasisSpec
+from .basis import tied_basis
 from .hartree_fock import scf
 from .quadrature import DEFAULT_QUAD
 from .solver import exciton_ground, trion_energy
@@ -28,22 +28,8 @@ class OptimizationRun:
     converged: bool
 
 
-def _build_basis(problem, model, groups):
-    if problem in ("exciton", "hf"):
-        (al,) = groups
-        ang = AngularSet.CONSTANT if model == "1d" else AngularSet.EXCITON_PAIR
-        return BasisSpec(AxialBasis(al, (1.0,), (1.0,)), ang, model)
-    if problem == "trion":
-        if model == "1d":
-            (al,) = groups
-            return BasisSpec(AxialBasis(al, al, al), AngularSet.CONSTANT, "1d")
-        aij, ak = groups
-        return BasisSpec(AxialBasis(aij, aij, ak), AngularSet.FULL4, "2d")
-    raise ValueError(f"unknown problem {problem!r}")
-
-
 def _objective(problem, model, groups, r0, quad):
-    basis = _build_basis(problem, model, groups)
+    basis = tied_basis(problem, model, groups)
     if problem == "exciton":
         return exciton_ground(r0, model, basis, quad)
     if problem == "trion":
@@ -57,8 +43,11 @@ def optimize(problem, model, initial, r0=0.1, grad_step=1e-3, step0=0.25,
     """Minimize the ground energy over log-exponents.
 
     `initial` is a tuple of exponent tuples, one per tied group (one
-    group everywhere except the 2D trion, which has two).
+    group everywhere except the 2D trion, which has two;
+    `basis.tied_basis` says which exponent lists each group sets).
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     groups0 = tuple(tuple(float(a) for a in g) for g in initial)
     sizes = [len(g) for g in groups0]
     splits = np.cumsum(sizes)[:-1]

@@ -218,6 +218,9 @@ def enumerate_species(r_min, r_max, p=DEFAULT_PARAMS):
 
     Canonical representatives n >= m >= 0; sorted by radius then (n, m).
     """
+    if not (np.isfinite(r_min) and np.isfinite(r_max) and r_min <= r_max):
+        raise ValueError("species range needs finite r_min <= r_max, got "
+                         f"r_min {r_min}, r_max {r_max}")
     # n^2 + nm + m^2 >= n^2 bounds n by 2 pi r_max / a; the +1 absorbs
     # rounding for a zigzag tube exactly at r_max
     n_max = int(2.0 * np.pi * r_max / p.a) + 1

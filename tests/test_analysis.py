@@ -4,7 +4,7 @@ import pytest
 
 from trionlab.analysis import ProbabilityGrid, binding_both_charges, \
     detectability_radius, exciton_probability, fit_power_law, hf_difference, \
-    hf_pair_probability, sweep_sigma, trion_probability
+    hf_pair_probability, sweep_radius, sweep_sigma, trion_probability
 from trionlab.basis import preset_basis, scale_exponents
 from trionlab.solver import exciton_spectrum, trion_spectrum
 
@@ -129,6 +129,11 @@ def test_binding_both_charges_skips_plus_at_sigma_zero():
     out = binding_both_charges(0.1, 0.9)
     assert set(out) == {"-", "+"}
     assert out["-"].E_X == out["+"].E_X
+
+
+def test_sweep_radius_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown sweep method 'HF'"):
+        sweep_radius([0.1], methods=("full", "HF"))
 
 
 def test_sweep_sigma_rows_deterministic():

@@ -185,6 +185,24 @@ def test_preset_sizes():
         preset_basis("nope")
 
 
+def test_tied_groups_of_the_presets():
+    """Each preset is its tied groups put into the lists they set."""
+    for problem in ("exciton", "trion", "hf"):
+        for model in ("1d", "2d"):
+            groups = tb.preset_groups(problem + model)
+            ax = preset_basis(problem + model).axial
+            if problem + model == "trion2d":
+                assert (ax.alphas_i, ax.alphas_j, ax.alphas_k) == \
+                    (groups[0], groups[0], groups[1])
+            elif problem == "trion":
+                assert ax.alphas_i == ax.alphas_j == ax.alphas_k == groups[0]
+            else:
+                assert (ax.alphas_i, ax.alphas_j, ax.alphas_k) == \
+                    (groups[0], (1.0,), (1.0,))
+    with pytest.raises(ValueError, match="unknown problem 'plasmon'"):
+        tb.tied_basis("plasmon", "2d", ((1.0,),))
+
+
 def test_scale_exponents():
     b = preset_basis("trion2d")
     scaled = scale_exponents(b, 0.2)  # (0.1 / 0.2)^2 = 1/4

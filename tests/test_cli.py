@@ -90,6 +90,35 @@ def test_bad_bands_points_rejected(value, tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+BAD_INPUTS = [
+    (["sweep-radius", "--points", "1", "--models", "1d",
+      "--methods", "full,foo"], "unknown sweep method 'foo' (methods are "
+     "full, hf)"),
+    (["probability", "--radius", "0.1", "--kind", "exciton", "--grid", "0"],
+     "--grid must be >= 1, got 0"),
+    (["probability", "--radius", "0.1", "--kind", "exciton", "--grid=-2"],
+     "--grid must be >= 1, got -2"),
+    (["sweep-species", "--rmax", "inf"],
+     "species range needs finite r_min <= r_max, got r_min 3.0, r_max inf"),
+    (["sweep-species", "--rmax", "nan"],
+     "species range needs finite r_min <= r_max, got r_min 3.0, r_max nan"),
+    (["sweep-species", "--rmin", "5", "--rmax", "3"],
+     "species range needs finite r_min <= r_max, got r_min 5.0, r_max 3.0"),
+    (["optimize", "--problem", "exciton", "--model", "1d", "--max-steps=-1"],
+     "max_steps must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_rejected(argv, message, tmp_path, capsys):
+    """Inputs that used to run silently, print an empty table or die in a
+    traceback: one error line naming the input, exit 1, nothing cached."""
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_metadata_and_header_present():
     code, text = _run(["exciton", "--radius", "0.1", "--model", "1d",
                        "--no-cache"])
@@ -128,12 +157,29 @@ def test_byte_identical_reruns():
     assert a == b
 
 
+# options a command's handler does not read: each is a usage error
+UNREAD_OPTIONS = [
+    ["masses", "--chirality", "6,5", "--outer-order", "32"],
+    ["bands", "--chirality", "4,2", "--outer-order", "32"],
+    ["exciton", "--radius", "0.1", "--sigma", "0.5"],
+    ["hf", "--radius", "0.3", "--sigma", "0.5"],
+] + [[*command, f"--{field}", value]
+     for command in (["optimize", "--problem", "exciton"], ["sweep-radius"],
+                     ["sweep-sigma"])
+     for field, value in (("t", "-2.7"), ("s", "0.2"), ("a", "2.5"))]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["exciton", "--bogus-flag"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+    assert len(UNREAD_OPTIONS) == 13
+    for argv in UNREAD_OPTIONS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-cache"])
+        assert exc.value.code == 2, argv
 
 
 def test_domain_error_exit_1(capsys):
@@ -242,10 +288,11 @@ def test_config_file_bad_line(tmp_path):
 
 @pytest.mark.parametrize("line", ["rel_tl = 1e-3", "rel_tol = 1e-3",
                                   "angular-order = 32", "charge = +",
-                                  "command = trion"])
+                                  "command = trion", "sigma = 0.5"])
 def test_config_file_unknown_key(tmp_path, capsys, line):
-    """Keys that are not options of the active subcommand (`charge`
-    belongs to `trion`, not `exciton`) are an error, not a silent no-op."""
+    """Keys that are not options of the active subcommand (`charge` and
+    `sigma` belong to `trion`, not `exciton`) are an error, not a silent
+    no-op."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("radius = 0.1\n" + line + "\n")
     assert main(["exciton", "--config", str(cfg), "--no-cache"]) == 1

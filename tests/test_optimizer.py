@@ -10,6 +10,11 @@ def test_rejects_unknown_problem():
         optimize("plasmon", "2d", ((1.0,),), max_steps=1)
 
 
+def test_rejects_negative_max_steps():
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+        optimize("exciton", "2d", ((1.0,),), max_steps=-1)
+
+
 def test_history_monotone_decreasing():
     run = optimize("exciton", "2d", ((0.05, 0.8, 20.0),), max_steps=8)
     assert all(b <= a for a, b in zip(run.history, run.history[1:]))
@@ -23,11 +28,11 @@ def test_converges_from_perturbed_start():
     detuned = tuple(a * 2.0 for a in preset)
     run = optimize("exciton", "2d", (detuned,), max_steps=40)
     from trionlab.solver import exciton_ground
-    from trionlab.optimizer import _build_basis
+    from trionlab.basis import tied_basis
 
     e_preset = exciton_ground(0.1, basis=preset_basis("exciton2d"))
-    e_start = exciton_ground(0.1, basis=_build_basis("exciton", "2d",
-                                                     (detuned,)))
+    e_start = exciton_ground(0.1, basis=tied_basis("exciton", "2d",
+                                                   (detuned,)))
     e_final = run.history[-1]
     assert e_final < e_start
     # recovered at least 90% of the detuning penalty

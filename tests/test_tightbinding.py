@@ -280,3 +280,17 @@ def test_fermi_velocity_scales_with_hopping():
     want = np.sqrt(3.0) * 2.89 * 2.46 / 2.0 \
         * 1.602176634e-19 * 1e-10 / 1.054571817e-34
     assert v1 == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("r_min, r_max", [(3.0, np.inf), (3.0, np.nan),
+                                          (np.nan, 15.0), (-np.inf, 3.0),
+                                          (5.0, 3.0)])
+def test_enumerate_species_rejects_bad_range(r_min, r_max):
+    with pytest.raises(ValueError, match="r_min .* r_max"):
+        enumerate_species(r_min, r_max)
+
+
+def test_enumerate_species_equal_ends_keep_the_species():
+    """A one-radius range is valid: it holds the species at that radius."""
+    r = radius(ChiralIndex(6, 5))
+    assert ChiralIndex(6, 5) in enumerate_species(r, r)
