@@ -141,10 +141,15 @@ def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),
                  methods=("full",), quad=DEFAULT_QUAD):
     """Rows (r, sigma, model, method, charge, E_X, E_T, E_B) in Ry*;
     `methods` holds "full" (exact variational) and/or "hf"."""
-    unknown = [m for m in methods if m not in ("full", "hf")]
-    if unknown:
-        raise ValueError(f"unknown sweep method {unknown[0]!r} "
-                         "(methods are full, hf)")
+    for name, given, known in (("method", methods, ("full", "hf")),
+                               ("model", models, ("1d", "2d"))):
+        bad = [m for m in given if m not in known]
+        if bad:
+            raise ValueError(f"unknown sweep {name} {bad[0]!r} "
+                             f"({name}s are {', '.join(known)})")
+        if len(set(given)) < len(given):
+            raise ValueError(f"repeated sweep {name} in {name}s "
+                             f"{', '.join(given)}")
     if r_grid is None:
         r_grid = np.linspace(0.02, 0.3, 30)
     rows = []

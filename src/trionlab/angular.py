@@ -9,7 +9,8 @@ for angular weights g built from the basis functions {1, |sin(theta/2)|}.
 Every weight needed here has a closed form in terms of scaled Bessel
 functions and the Dawson function, except one (the autocorrelation of
 |sin(theta/2)|): its smooth remainder is piecewise Chebyshev in sqrt(q)
-on q <= 200 and an asymptotic series in 1/q on the rest.
+on q <= 200 and an asymptotic series in 1/q on the rest.  Assembly reads
+each profile's outer sum (`outer_sum`) from Chebyshev tables in ln t.
 """
 import math
 
@@ -18,6 +19,8 @@ from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
 from scipy.special import dawsn, i0e, i1e
+
+from .quadrature import outer_rule
 
 
 def flat_weight(q):
@@ -45,7 +48,7 @@ def sin2_weight(q):
 
 def cos_weight(q):
     """integral cos(t) exp(-q sin^2(t/2)) dt (= flat - 2 sin2)."""
-    return shared_profile(cos_weight, q, {})
+    return flat_weight(q) - 2.0 * sin2_weight(q)
 
 
 # Autocorrelation of |sin(t/2)|: c(v) = 2 sin(|v|/2) + (pi - |v|) cos(v/2).
@@ -99,23 +102,7 @@ def _sincorr_tail(q):
 def sincorr_weight(q):
     """integral c(v) exp(-q sin^2(v/2)) dv with c the |sin| autocorrelation
     (= 2 sin + tail)."""
-    return shared_profile(sincorr_weight, q, {})
-
-
-def shared_profile(prof, q, memo):
-    """prof(q), kept in `memo` (profile -> values on this q) so that each
-    closed form is evaluated once per q.  cos_weight and sincorr_weight are
-    the sums written here, of the profile values already in `memo`."""
-    if prof not in memo:
-        if prof is cos_weight:
-            memo[prof] = shared_profile(flat_weight, q, memo) \
-                - 2.0 * shared_profile(sin2_weight, q, memo)
-        elif prof is sincorr_weight:
-            memo[prof] = 2.0 * shared_profile(sin_weight, q, memo) \
-                + _sincorr_tail(q)
-        else:
-            memo[prof] = prof(q)
-    return memo[prof]
+    return 2.0 * sin_weight(q) + _sincorr_tail(q)
 
 
 # --- two-particle angular weight tables -------------------------------------
@@ -178,25 +165,73 @@ def pair_weight(channel, l, lp, q):
 # Products of the one-particle angular set {1, |sin(t/2)|} give powers
 # |sin(t/2)|^p with p in {0, 1, 2}.  The repulsion element needs the
 # cross-correlation of two such powers against exp(-q sin^2(v/2)).
-def power_corr_weight(p1, p2, q, memo=None):
-    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2));
-    calls that pass one `memo` share the profiles on q (`shared_profile`)."""
-    key = (min(p1, p2), max(p1, p2))
-    memo = {} if memo is None else memo
-    if key == (1, 1):
-        return shared_profile(sincorr_weight, q, memo)
-    a0 = shared_profile(flat_weight, q, memo)
-    if key == (0, 0):
-        return 2.0 * np.pi * a0
-    if key == (0, 1):
-        return 4.0 * a0
-    if key == (0, 2):
-        return np.pi * a0
-    if key == (1, 2):
-        # |s| (*) s^2 = 2 + (2/3) cos v
-        return 2.0 * a0 + (2.0 / 3.0) * shared_profile(cos_weight, q, memo)
-    if key == (2, 2):
-        # s^2 (*) s^2 = pi/2 + (pi/4) cos v
-        return (np.pi / 2.0) * a0 \
-            + (np.pi / 4.0) * shared_profile(cos_weight, q, memo)
-    raise ValueError(f"invalid angular powers ({p1}, {p2})")
+# Each is a + b cos v + c (|s| (*) |s|), with (a, b, c) below; for instance
+# |s| (*) s^2 = 2 + (2/3) cos v and s^2 (*) s^2 = pi/2 + (pi/4) cos v.
+_POWER_CORR = {(0, 0): (2.0 * np.pi, 0.0, 0.0), (0, 1): (4.0, 0.0, 0.0),
+               (0, 2): (np.pi, 0.0, 0.0), (1, 1): (0.0, 0.0, 1.0),
+               (1, 2): (2.0, 2.0 / 3.0, 0.0),
+               (2, 2): (np.pi / 2.0, np.pi / 4.0, 0.0)}
+
+
+def power_corr_terms(p1, p2):
+    """(coefficient, profile) pairs whose sum is power_corr_weight."""
+    abc = _POWER_CORR.get((min(p1, p2), max(p1, p2)))
+    if abc is None:
+        raise ValueError(f"invalid angular powers ({p1}, {p2})")
+    return tuple((c, prof) for c, prof in
+                 zip(abc, (flat_weight, cos_weight, sincorr_weight)) if c)
+
+
+def power_corr_weight(p1, p2, q):
+    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2))."""
+    return sum(c * prof(q) for c, prof in power_corr_terms(p1, p2))
+
+
+# --- outer sums -------------------------------------------------------------
+# The outer sum G(t) = sum_n w_n g(t sinh^2 u_n) of a profile g is tabulated
+# on LN_T by a degree-_DEG Chebyshev series on each of _PANELS equal panels
+# of ln t, interpolating at Chebyshev points.  The series are linear in g,
+# so the tables of cos_weight and sincorr_weight are sums of base tables.
+# Tables are keyed by profile name: a functools.wraps wrapper shares them.
+LN_T, _PANELS, _DEG = (-20.0, 20.0), 40, 24
+_WIDTH = (LN_T[1] - LN_T[0]) / _PANELS
+_TABLES = {}
+
+
+def _table(prof, quad):
+    """Coefficients of G for (prof, quad), shape (_DEG + 1, _PANELS)."""
+    key = (prof.__name__, quad)
+    if key not in _TABLES:
+        if key[0] == "cos_weight":
+            c = _table(flat_weight, quad) - 2.0 * _table(sin2_weight, quad)
+        elif key[0] == "sincorr_weight":
+            c = 2.0 * _table(sin_weight, quad) + _table(_sincorr_tail, quad)
+        else:
+            _, wts, sinh2 = outer_rule(quad)
+            s = chebpts1(_DEG + 1)
+            ln_t = LN_T[0] + _WIDTH * (np.arange(_PANELS)[:, None]
+                                       + (s + 1.0) / 2.0)
+            G = prof(np.exp(ln_t)[..., None] * sinh2) @ wts
+            c = chebfit(s, G.T, _DEG)
+        _TABLES[key] = c
+    return _TABLES[key]
+
+
+def outer_sum(prof, t, quad):
+    """G(t) = sum_n w_n prof(t sinh^2 u_n) over the outer rule of `quad`, by
+    Clenshaw's recurrence on all points at once; t must lie in exp(LN_T)."""
+    t = np.asarray(t, float)
+    lo, hi = np.exp(LN_T)
+    if not np.all((t >= lo) & (t <= hi)):
+        raise ValueError(f"Coulomb argument t = 4 r^2 D/E reaches "
+                         f"[{t.min():.4g}, {t.max():.4g}], outside the "
+                         f"tabulated [{lo:.4g}, {hi:.4g}]")
+    # panel coordinate, clipped against the rounding of log(t) at the ends
+    x = np.clip((np.log(t) - LN_T[0]) / _WIDTH, 0.0, _PANELS)
+    k = np.minimum(x.astype(np.intp), _PANELS - 1)
+    s2 = 4.0 * (x - k) - 2.0                # twice the point in [-1, 1]
+    c = _table(prof, quad)[:, k]
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = ck + s2 * b1 - b2, b1
+    return c[0] + 0.5 * s2 * b1 - b2

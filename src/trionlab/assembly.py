@@ -1,9 +1,10 @@
 """Assembly of the overlap, kinetic and potential matrices.
 
-Axial Gaussian integrals are closed forms; Coulomb elements reduce to a
-single outer integral of closed-form angular weights (see `angular` and
-`quadrature`).  Angular factors carry the measure d(theta)/(2 pi) per
-particle, matching the normalized angular kernel tables in `basis`.
+Axial Gaussian integrals are closed forms; a Coulomb element is a
+prefactor times `angular.outer_sum` of an angular weight at t = 4 r^2 D/E,
+one table lookup per distinct weight on each grid of t.  Angular factors
+carry the measure d(theta)/(2 pi) per particle, matching the normalized
+angular kernel tables in `basis`.
 """
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ import numpy as np
 from . import angular
 from .basis import (ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, ANGULAR_OVERLAP,
                     AngularSet, axial_kernels, check_inputs, pair_kernels)
-from .quadrature import DEFAULT_QUAD, outer_rule
+from .quadrature import DEFAULT_QUAD
 
 # Angular measure 1/(2 pi)^2 times the (4/sqrt(pi)) pi of the outer integral.
 _PREF = 1.0 / (4.0 * np.pi ** 2) * (4.0 / np.sqrt(np.pi)) * np.pi
@@ -42,21 +43,14 @@ def mixing_weight(sigma, charge):
 
 def _axial_arrays(basis):
     ax = basis.axial
-    ai = np.asarray(ax.alphas_i, float)
-    aj = np.asarray(ax.alphas_j, float)
-    ak = np.asarray(ax.alphas_k, float)
-    return ai, aj, ak
+    return tuple(np.asarray(a, float)
+                 for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k))
 
 
 def _axial_tensors(basis):
     """Exponents broadcast to the axes (i, i', j, j', k, k'), in that order."""
     ai, aj, ak = _axial_arrays(basis)
-    out = []
-    for axis, v in enumerate((ai, ai, aj, aj, ak, ak)):
-        shape = [1] * 6
-        shape[axis] = len(v)
-        out.append(v.reshape(shape))
-    return out
+    return np.ix_(ai, ai, aj, aj, ak, ak)
 
 
 def _flatten(T):
@@ -86,14 +80,6 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
     return _flatten(K)
 
 
-# Third-axis pair sums per pass of `_channel`.  A pass holds q and up to
-# four cached profiles on p1 * p2 * _CHUNK * (outer nodes) points, plus
-# the elementwise temporaries of the profile being evaluated, each no
-# larger than q.  The presets have at most 15 third-axis sums and run in
-# one pass; bases with 11 or more k exponents are split.
-_CHUNK = 64
-
-
 def _unique_pairs(al):
     """Unordered pair sums of one exponent list plus the scatter index."""
     iu, ju = np.triu_indices(len(al))
@@ -102,25 +88,30 @@ def _unique_pairs(al):
     return al[iu] + al[ju], back
 
 
-def _channel(channel, Au, Bu, Cu, r, L, wts, sinh2):
+def _outer_sums(profs, t, quad, r, exponents):
+    """{profile: angular.outer_sum(profile, t, quad)} for the distinct
+    `profs`; a t outside the tables names the exponents and r behind it."""
+    try:
+        return {prof: angular.outer_sum(prof, t, quad) for prof in profs}
+    except ValueError as err:
+        raise ValueError(f"{exponents} at r={r}: {err}") from None
+
+
+def _channel(channel, Au, Bu, Cu, r, L, quad, exponents):
     """Signed, normalized integrals of one Coulomb channel on the grid of
-    unique pair sums, shape (p1, p2, p3, L, L).  Each distinct angular
-    profile is evaluated once per pass."""
-    Ap, Bp = Au[:, None, None], Bu[None, :, None]
-    sgn = 1.0 if channel == 2 else -1.0
-    out = np.empty((len(Au), len(Bu), len(Cu), L, L))
-    for c0 in range(0, len(Cu), _CHUNK):
-        Cs = Cu[None, None, c0:c0 + _CHUNK]
-        D = Ap * Bp + (Ap + Bp) * Cs
-        E = (Bp + Cs, Ap + Cs, Ap + Bp)[channel]
-        q = (4.0 * r * r * D / E)[..., None] * sinh2
-        pref, W = sgn * _PREF / np.sqrt(E), {}
-        blk = out[:, :, c0:c0 + _CHUNK]
-        for l in range(L):
-            for lp in range(l, L):
-                coef, prof = angular.pair_entry(channel, l, lp)
-                blk[..., l, lp] = blk[..., lp, l] = \
-                    pref * ((coef * angular.shared_profile(prof, q, W)) @ wts)
+    unique pair sums, shape (p1, p2, p3, L, L): one outer sum per distinct
+    angular profile, on t = 4 r^2 D/E."""
+    A, B, C = Au[:, None, None], Bu[None, :, None], Cu[None, None, :]
+    D = A * B + (A + B) * C
+    E = (B + C, A + C, A + B)[channel]
+    entries = {(l, lp): angular.pair_entry(channel, l, lp)
+               for l in range(L) for lp in range(l, L)}
+    G = _outer_sums({prof for _, prof in entries.values()},
+                    4.0 * r * r * D / E, quad, r, exponents)
+    pref = (1.0 if channel == 2 else -1.0) * _PREF / np.sqrt(E)
+    out = np.empty(D.shape + (L, L))
+    for (l, lp), (coef, prof) in entries.items():
+        out[..., l, lp] = out[..., lp, l] = pref * coef * G[prof]
     return out
 
 
@@ -131,7 +122,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     so the kernels are evaluated once per unordered pair combination and
     scattered to the full matrix.  Channel 1 is channel 0 with the first
     two pair axes swapped when the basis is exchange symmetric
-    (`angular.exchange_permutation`); its q arrays are then bit-identical
+    (`angular.exchange_permutation`); its t grid is then bit-identical
     and so is U.  Channel 2 is minus channel 0 with the first and third
     axes swapped when alphas_i == alphas_k; that reuse rounds the
     pair-sum product D in another order, so U moves in the last bits (up
@@ -141,9 +132,9 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     check_inputs(r)
     ai, aj, ak = _axial_arrays(basis)
     L = basis.angular.size
-    _, wts, sinh2 = outer_rule(quad)
     (Au, ia), (Bu, ib), (Cu, ic) = map(_unique_pairs, (ai, aj, ak))
-    U = [_channel(0, Au, Bu, Cu, r, L, wts, sinh2)]
+    exps = f"exponents i {ai.tolist()}, j {aj.tolist()}, k {ak.tolist()}"
+    U = [_channel(0, Au, Bu, Cu, r, L, quad, exps)]
     swap_ik = np.array_equal(ai, ak) and angular.keeps_labels(2, L)
     for channel, reuse, axes, sgn in (
             (1, angular.exchange_permutation(basis) is not None,
@@ -151,7 +142,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
             (2, swap_ik, (2, 1, 0, 3, 4), -1.0)):
         m = np.array(angular.CHANNEL_LABELS[channel][:L])
         U.append(sgn * U[0].transpose(axes)[..., m[:, None], m] if reuse
-                 else _channel(channel, Au, Bu, Cu, r, L, wts, sinh2))
+                 else _channel(channel, Au, Bu, Cu, r, L, quad, exps))
     Uu = U[0] + U[1] + U[2]
     return _flatten(Uu[ia[:, :, None, None, None, None], ib[:, :, None, None],
                        ic])
@@ -172,15 +163,15 @@ def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     S = np.kron(s_ax, ANGULAR_OVERLAP[:L, :L])
     K = np.kron(k_ax, ANGULAR_OVERLAP[:L, :L]) \
         + np.kron(s_ax, ANGULAR_KINETIC[:L, :L]) / r ** 2
-    _, wts, sinh2 = outer_rule(quad)
-    q = (4.0 * r * r * A)[..., None] * sinh2
+    # labels 0, 1 of channel 0 are this pair's {1, |sin(theta/2)|}
+    profs = {(l, lp): angular.pair_entry(0, l, lp)[1]
+             for l in range(L) for lp in range(l, L)}
+    G = _outer_sums(set(profs.values()), 4.0 * r * r * A, quad, r,
+                    f"exponents {al.tolist()}")
     n = len(al)
     U = np.zeros((n, L, n, L))
-    for l in range(L):
-        for lp in range(l, L):
-            # labels 0, 1 of channel 0 are this pair's {1, |sin(theta/2)|}
-            prof = angular.pair_entry(0, l, lp)[1]
-            U[:, l, :, lp] = U[:, lp, :, l] = -(2.0 / np.pi) * (prof(q) @ wts)
+    for (l, lp), prof in profs.items():
+        U[:, l, :, lp] = U[:, lp, :, l] = -(2.0 / np.pi) * G[prof]
     return MatrixTriple(S, K, U.reshape(n * L, n * L))
 
 
@@ -195,18 +186,20 @@ def repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
     is evaluated once on the grid of unique (P, Q) and scattered.
     """
     check_inputs(r)
-    Pu, ip = _unique_pairs(np.asarray(alphas, float))
+    al = np.asarray(alphas, float)
+    Pu, ip = _unique_pairs(al)
     P, Q = Pu[:, None], Pu[None, :]
-    _, wts, sinh2 = outer_rule(quad)
     E = P + Q
-    q = (4.0 * r * r * (P * Q) / E)[..., None] * sinh2
-    pref = _PREF / np.sqrt(E)
     ns = 2 * n_ang - 1
-    J, W = np.empty((ns, ns, len(Pu), len(Pu))), {}
-    for s1 in range(ns):
-        for s2 in range(s1, ns):
-            J[s1, s2] = J[s2, s1] = \
-                pref * (angular.power_corr_weight(s1, s2, q, W) @ wts)
+    terms = {(s1, s2): angular.power_corr_terms(s1, s2)
+             for s1 in range(ns) for s2 in range(s1, ns)}
+    G = _outer_sums({prof for ts in terms.values() for _, prof in ts},
+                    4.0 * r * r * (P * Q) / E, quad, r,
+                    f"exponents {al.tolist()}")
+    pref = _PREF / np.sqrt(E)
+    J = np.empty((ns, ns, len(Pu), len(Pu)))
+    for (s1, s2), ts in terms.items():
+        J[s1, s2] = J[s2, s1] = pref * sum(c * G[prof] for c, prof in ts)
     pair = ip[:, None, :, None]                      # (a, ., b, .)
     lsum = np.add.outer(np.arange(n_ang), np.arange(n_ang))[None, :, None, :]
     ex = (Ellipsis,) + (None,) * 4

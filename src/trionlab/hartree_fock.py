@@ -25,6 +25,8 @@ class HFState:
     iterations: int
     converged: bool
     history: tuple          # epsilon0 per iteration
+    residual: float         # |F y - eps0 y| of the last F formed (converged:
+                            # of the returned orbital), in the retained modes
 
 
 def hartree_matrix(rho, V4):
@@ -79,7 +81,7 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
                            "eigenvalue of its Fock matrix")
     e_total = bound(2.0 * eps - y @ (F - h) @ y)
     return HFState(fam.X @ y / np.sqrt(x), eps, float(e_total),
-                   len(history) - 1, converged, tuple(history))
+                   len(history) - 1, converged, tuple(history), float(res))
 
 
 def hf_binding_energy(r, model="2d", basis=None, exciton_basis=None,

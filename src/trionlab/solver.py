@@ -127,7 +127,9 @@ class Family:
     retained modes X0 of S0 solves each (r, sigma, charge) point, and the
     coefficients in the scaled basis are X0 v / x (trion) or
     X0 v / sqrt(x) (exciton and hf).  The hf family keeps V~0, V4_0 with
-    each index reduced by X0, as Vj[(a, b), (c, d)] = Vk[(a, c), (b, d)].
+    each index reduced by X0 and averaged over its 8-fold symmetry (the
+    reduction alone keeps it to about 1e-10 relative on hf2d), as
+    Vj[(a, b), (c, d)] = Vk[(a, c), (b, d)].
 
     For a trion basis with exchange symmetry P, X0 = [X_sym | X_anti]
     spans the exchange-symmetric (singlet) sector and then the
@@ -167,6 +169,9 @@ def family(problem, basis, quad):
     X, dims = _orthogonalizer(S, sectors)
     if V4 is not None:
         V4 = np.einsum("abcd,aA,bB,cC,dD->ABCD", V4, X, X, X, X, optimize=True)
+        V4 = V4 + V4.transpose(1, 0, 2, 3)    # average over a <-> b,
+        V4 = V4 + V4.transpose(0, 1, 3, 2)    # c <-> d and pair exchange
+        V4 = (V4 + V4.transpose(2, 3, 0, 1)) / 8.0
         m2 = X.shape[1] ** 2
         Vj, Vk = V4.reshape(m2, m2), V4.transpose(0, 2, 1, 3).reshape(m2, m2)
     fam = Family(basis, S, parts, X, dims,

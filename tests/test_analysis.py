@@ -1,4 +1,6 @@
 """Probability grids, power-law fits and sweep helpers."""
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,22 @@ def test_binding_both_charges_skips_plus_at_sigma_zero():
 def test_sweep_radius_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown sweep method 'HF'"):
         sweep_radius([0.1], methods=("full", "HF"))
+
+
+@pytest.mark.parametrize("models, message", [
+    (("foo",), "unknown sweep model 'foo' (models are 1d, 2d)"),
+    (("1d", "2D"), "unknown sweep model '2D' (models are 1d, 2d)"),
+    (("1d", "1d"), "repeated sweep model in models 1d, 1d"),
+    (("2d", "1d", "2d"), "repeated sweep model in models 2d, 1d, 2d")])
+def test_sweep_radius_rejects_unknown_or_repeated_model(models, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_radius([0.1], models=models)
+
+
+def test_sweep_radius_rejects_repeated_method():
+    with pytest.raises(ValueError, match="repeated sweep method in methods "
+                                         "full, hf, full"):
+        sweep_radius([0.1], methods=("full", "hf", "full"))
 
 
 def test_sweep_sigma_rows_deterministic():

@@ -3,8 +3,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0e, i1e
 
 from trionlab import angular
+from trionlab.quadrature import DEFAULT_QUAD, QuadratureSpec, outer_rule
 
 # The tail of sincorr_weight is a Chebyshev series on the q panels with
 # edges 0, 2, 8, 32 and 200, and an asymptotic series for q > 200.
@@ -151,3 +153,48 @@ def test_weights_vectorized_shape():
             assert fn(np.empty(shape)).shape == shape
         mixed = fn(np.array(qs[::-1] * 2).reshape(2, -1))
         np.testing.assert_array_equal(mixed, np.tile(ref[::-1], (2, 1)))
+
+
+# --- outer sums ---------------------------------------------------------------
+OUTER_QUADS = {"default": DEFAULT_QUAD,
+               "order8": QuadratureSpec(outer_order=8),
+               "refined": DEFAULT_QUAD.refined()}
+LN_EDGES = np.linspace(*angular.LN_T, angular._PANELS + 1)
+# Every panel edge (both domain ends included), a point just either side
+# of each inner edge, and points scattered inside the panels.
+OUTER_T = np.exp(np.concatenate([LN_EDGES, LN_EDGES[1:-1] - 1e-9,
+                                 LN_EDGES[1:-1] + 1e-9,
+                                 np.linspace(*angular.LN_T, 397)]))
+OUTER_PROFILES = ("flat_weight", "sin_weight", "sin2_weight", "cos_weight",
+                  "sincorr_weight", "_sincorr_tail")
+
+
+@pytest.mark.parametrize("name", OUTER_PROFILES)
+@pytest.mark.parametrize("quad_name", list(OUTER_QUADS))
+def test_outer_sum_matches_the_direct_sum(quad_name, name):
+    """The table against sum_n w_n g(t sinh^2 u_n), within 1e-14 of the
+    size of the summed terms.  sin2_weight is pi (i0e - i1e)(q/2) and
+    cos_weight is flat - 2 sin2: both cancel (sin2 at large q, cos at
+    small q), so their size is that of the terms before the subtraction."""
+    quad = OUTER_QUADS[quad_name]
+    _, w, sinh2 = outer_rule(quad)
+    q = OUTER_T[:, None] * sinh2
+    prof = getattr(angular, name)
+    direct = prof(q) @ w
+    size = {"sin2_weight": np.pi * (i0e(q / 2.0) + i1e(q / 2.0)) @ w,
+            "cos_weight": (angular.flat_weight(q)
+                           + 2.0 * angular.sin2_weight(q)) @ w}
+    size = size.get(name, np.abs(direct))
+    got = angular.outer_sum(prof, OUTER_T, quad)
+    assert got.shape == OUTER_T.shape
+    assert np.max(np.abs(got - direct) / size) < 1e-14
+
+
+@pytest.mark.parametrize("t", [np.exp(angular.LN_T[0]) * (1.0 - 1e-12),
+                               np.exp(angular.LN_T[1]) * (1.0 + 1e-12),
+                               0.0, -1.0, np.inf, np.nan])
+def test_outer_sum_rejects_t_outside_its_table(t):
+    with pytest.raises(ValueError, match="outside the tabulated"):
+        angular.outer_sum(angular.flat_weight, np.array([1.0, t]),
+                          DEFAULT_QUAD)
+

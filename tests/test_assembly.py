@@ -1,20 +1,21 @@
 """Matrix assembly against brute-force quadrature and exact symmetries."""
+import functools
+from collections import defaultdict
+
 import numpy as np
 import pytest
-
-from collections import Counter
 
 from oracle_utils import assemble_trion, brute_repulsion_element, \
     brute_trion_element, loop_potential, loop_repulsion_tensor
 from trionlab import AngularSet, AxialBasis, BasisSpec, angular, \
     preset_basis, scale_exponents
-from trionlab.assembly import _CHUNK, assemble_exciton, assemble_kinetic, \
+from trionlab.assembly import assemble_exciton, assemble_kinetic, \
     assemble_overlap, assemble_potential, mixing_weight, repulsion_tensor
-from trionlab.quadrature import DEFAULT_QUAD
+from trionlab.quadrature import DEFAULT_QUAD, outer_rule
 
 SMALL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7), (0.09, 1.2)),
                   AngularSet.FULL4, "2d")
-# 66 third-axis pair sums: more than one pass of the potential kernel.
+# 66 third-axis pair sums: a t grid larger than any preset's.
 CHUNKED = BasisSpec(AxialBasis((0.3, 2.1), (0.3, 2.1),
                                tuple(0.05 * 2.0 ** k for k in range(11))),
                     AngularSet.FULL4, "2d")
@@ -200,11 +201,6 @@ def _rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-def test_chunked_basis_takes_more_than_one_pass():
-    n = len(CHUNKED.axial.alphas_k)
-    assert n * (n + 1) // 2 > _CHUNK
-
-
 @pytest.mark.parametrize("quad", list(KERNEL_QUADS))
 @pytest.mark.parametrize("r", [0.02, 0.1, 0.3])
 @pytest.mark.parametrize("name", list(KERNEL_BASES))
@@ -233,43 +229,66 @@ _PROFILES = ("flat_weight", "sin_weight", "sin2_weight", "cos_weight",
 
 @pytest.fixture
 def profile_calls(monkeypatch):
-    """Counts calls of every angular profile, wrapped wherever the package
-    looks one up: the module attributes and the channel table."""
-    calls = Counter()
+    """Shapes of the arguments of every angular profile call, per profile,
+    with every outer-sum table dropped.  The profiles are wrapped wherever
+    the package looks one up: the module attributes and the channel table;
+    the wrappers keep their names, which key the tables."""
+    calls = defaultdict(list)
     wrapped = {}
     for name in _PROFILES:
         fn = getattr(angular, name)
 
+        @functools.wraps(fn)
         def counted(q, fn=fn, name=name):
-            calls[name] += 1
+            calls[name].append(np.shape(q))
             return fn(q)
         wrapped[fn] = counted
         monkeypatch.setattr(angular, name, counted)
     for key, (coef, fn) in list(angular._T1.items()):
         monkeypatch.setitem(angular._T1, key, (coef, wrapped[fn]))
+    monkeypatch.setattr(angular, "_TABLES", {})
     return calls
 
 
-def test_potential_evaluates_each_profile_once_per_channel(profile_calls):
-    """trion2d computes channels 0 and 2 (channel 1 is channel 0 with the
-    particles swapped); trion1d computes channel 0 alone.  sincorr_weight
-    is formed from the channel's own sin_weight plus its tail."""
-    assemble_potential(preset_basis("trion2d"), 0.1)
-    for name in ("flat_weight", "sin2_weight", "sin_weight", "_sincorr_tail"):
-        assert profile_calls[name] == 2, name
-    assert profile_calls["sincorr_weight"] == 0
-    profile_calls.clear()
-    assemble_potential(preset_basis("trion1d"), 0.1)
-    assert profile_calls == Counter(flat_weight=1)
+def test_profiles_are_evaluated_only_to_fit_their_tables(profile_calls):
+    """The first kernel call for a quadrature evaluates each base profile
+    once, on the fitting grid of its table (the tables of cos_weight and
+    sincorr_weight are sums of those); any later basis or kernel at that
+    quadrature evaluates none.  trion2d needs all four base profiles, and
+    so does the hf2d repulsion tensor."""
+    base = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
+    for quad, first in ((DEFAULT_QUAD, "potential"),
+                        (DEFAULT_QUAD.refined(), "repulsion")):
+        fit = (angular._PANELS, angular._DEG + 1, len(outer_rule(quad)[0]))
+        kernels = {
+            "potential": lambda: assemble_potential(
+                preset_basis("trion2d"), 0.1, quad),
+            "repulsion": lambda: repulsion_tensor(
+                preset_basis("hf2d").axial.alphas_i, 0.1, 2, quad)}
+        kernels[first]()
+        assert profile_calls == {name: [fit] for name in base}, first
+        profile_calls.clear()
+        for kernel in kernels.values():
+            kernel()
+        assemble_potential(preset_basis("trion1d"), 0.3, quad)
+        assemble_potential(CHUNKED, 0.02, quad)
+        assemble_exciton(preset_basis("exciton2d"), 0.1, quad)
+        assert profile_calls == {}
 
 
-def test_repulsion_tensor_evaluates_profiles_once_per_call(profile_calls):
-    """Each profile runs once per call, whatever the number of (a, b)
-    pairs: seven exponents cost as many profile calls as two."""
-    repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.1, 2)
-    assert profile_calls == Counter(flat_weight=1, sin2_weight=1,
-                                    sin_weight=1, _sincorr_tail=1)
-    hf2d_calls = profile_calls.copy()
-    profile_calls.clear()
-    repulsion_tensor((0.4, 2.5), 0.1, 2)
-    assert profile_calls == hf2d_calls
+def test_coulomb_argument_outside_the_tables_names_the_exponents():
+    """t = 4 r^2 D/E beyond exp(LN_T) has no fallback: each kernel raises
+    and names the exponents and the radius."""
+    tiny = BasisSpec(AxialBasis((1e-9,), (1e-9,), (1e-9,)),
+                     AngularSet.FULL4, "2d")
+    with pytest.raises(ValueError, match=r"exponents i \[1e-09\], "
+                       r"j \[1e-09\], k \[1e-09\] at r=0.1: Coulomb "
+                       r"argument .* outside the tabulated"):
+        assemble_potential(tiny, 0.1)
+    big = BasisSpec(AxialBasis((0.3, 1e9), (1.0,), (1.0,)),
+                    AngularSet.EXCITON_PAIR, "2d")
+    message = r"exponents \[0.3, 1000000000.0\] at r=1.0: Coulomb argument"
+    with pytest.raises(ValueError, match=message):
+        assemble_exciton(big, 1.0)
+    with pytest.raises(ValueError, match=message):
+        repulsion_tensor((0.3, 1e9), 1.0, 2)

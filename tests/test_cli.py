@@ -94,6 +94,10 @@ BAD_INPUTS = [
     (["sweep-radius", "--points", "1", "--models", "1d",
       "--methods", "full,foo"], "unknown sweep method 'foo' (methods are "
      "full, hf)"),
+    (["sweep-radius", "--points", "1", "--models", "foo"],
+     "unknown sweep model 'foo' (models are 1d, 2d)"),
+    (["sweep-radius", "--points", "1", "--models", "1d,1d"],
+     "repeated sweep model in models 1d, 1d"),
     (["probability", "--radius", "0.1", "--kind", "exciton", "--grid", "0"],
      "--grid must be >= 1, got 0"),
     (["probability", "--radius", "0.1", "--kind", "exciton", "--grid=-2"],

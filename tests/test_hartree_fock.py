@@ -7,7 +7,8 @@ from trionlab import hartree_fock
 from trionlab.assembly import assemble_exciton, repulsion_tensor
 from trionlab.basis import preset_basis, scale_exponents
 from trionlab.hartree_fock import hartree_matrix, hf_binding_energy
-from trionlab.solver import exciton_ground, solve_generalized
+from trionlab.quadrature import DEFAULT_QUAD
+from trionlab.solver import exciton_ground, preset_family, solve_generalized
 
 SMALL = BasisSpec(AxialBasis((0.07, 0.9, 6.0, 40.0), (1.0,), (1.0,)),
                   AngularSet.EXCITON_PAIR, "2d")
@@ -62,6 +63,34 @@ def test_scf_converges_with_small_residual():
     t = assemble_exciton(basis, 0.2)
     c = state.orbital_coeffs
     assert c @ t.S @ c == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3, 1.0])
+def test_scf_reports_its_final_residual(r, model):
+    state = scf(r, model)
+    assert state.converged
+    assert 0.0 <= state.residual <= 1e-12
+
+
+def test_unconverged_scf_reports_a_large_residual():
+    state = scf(0.2, max_iter=1)
+    assert not state.converged
+    assert state.residual > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["hf1d", "hf2d"])
+def test_reduced_tensor_keeps_its_eightfold_symmetry(kind):
+    """V~0 = X0^T(x)4 V4_0 is unchanged under a <-> b, c <-> d and pair
+    exchange to round-off, and Vk is Vj with the middle indices swapped."""
+    fam = preset_family(kind, DEFAULT_QUAD)
+    m = fam.X.shape[1]
+    V = fam.Vj.reshape(m, m, m, m)
+    scale = np.abs(V).max()
+    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        assert np.abs(V - V.transpose(axes)).max() <= 1e-15 * scale, axes
+    np.testing.assert_array_equal(
+        fam.Vk, V.transpose(0, 2, 1, 3).reshape(m * m, m * m))
 
 
 def test_scf_deterministic():
