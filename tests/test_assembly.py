@@ -250,30 +250,48 @@ def profile_calls(monkeypatch):
     return calls
 
 
-def test_profiles_are_evaluated_only_to_fit_their_tables(profile_calls):
-    """The first kernel call for a quadrature evaluates each base profile
-    once, on the fitting grid of its table (the tables of cos_weight and
-    sincorr_weight are sums of those); any later basis or kernel at that
-    quadrature evaluates none.  trion2d needs all four base profiles, and
-    so does the hf2d repulsion tensor."""
-    base = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
-    for quad, first in ((DEFAULT_QUAD, "potential"),
-                        (DEFAULT_QUAD.refined(), "repulsion")):
-        fit = (angular._PANELS, angular._DEG + 1, len(outer_rule(quad)[0]))
-        kernels = {
-            "potential": lambda: assemble_potential(
-                preset_basis("trion2d"), 0.1, quad),
-            "repulsion": lambda: repulsion_tensor(
-                preset_basis("hf2d").axial.alphas_i, 0.1, 2, quad)}
-        kernels[first]()
-        assert profile_calls == {name: [fit] for name in base}, first
-        profile_calls.clear()
-        for kernel in kernels.values():
-            kernel()
-        assemble_potential(preset_basis("trion1d"), 0.3, quad)
-        assemble_potential(CHUNKED, 0.02, quad)
-        assemble_exciton(preset_basis("exciton2d"), 0.1, quad)
-        assert profile_calls == {}
+_BASE = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
+
+
+def _fit_shape(quad):
+    return (angular._PANELS, angular._DEG + 1, len(outer_rule(quad)[0]))
+
+
+def test_potential_evaluates_each_profile_once_per_channel(profile_calls):
+    """A profile runs only to fit its outer-sum table: once per quadrature,
+    on the fitting grid, for the first channel that needs it.  trion2d
+    needs all four base profiles (sincorr_weight is a sum of two tables);
+    trion1d needs flat_weight alone.  Later potentials, and the other
+    kernels, at that quadrature evaluate none."""
+    quad = DEFAULT_QUAD
+    assemble_potential(preset_basis("trion2d"), 0.1, quad)
+    assert profile_calls == {name: [_fit_shape(quad)] for name in _BASE}
+    profile_calls.clear()
+    assemble_potential(preset_basis("trion2d"), 0.3, quad)
+    assemble_potential(preset_basis("trion1d"), 0.3, quad)
+    assemble_potential(CHUNKED, 0.02, quad)
+    assemble_exciton(preset_basis("exciton2d"), 0.1, quad)
+    repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.1, 2, quad)
+    assert profile_calls == {}
+    quad = DEFAULT_QUAD.refined()
+    assemble_potential(preset_basis("trion1d"), 0.1, quad)
+    assert profile_calls == {"flat_weight": [_fit_shape(quad)]}
+
+
+def test_repulsion_tensor_evaluates_profiles_once_per_call(profile_calls):
+    """The first hf2d repulsion tensor at a quadrature fits each base
+    profile's table once, whatever the number of (a, b) pairs; later
+    tensors, of seven exponents or two, and the potentials at that
+    quadrature evaluate none."""
+    quad = DEFAULT_QUAD.refined()
+    repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.1, 2, quad)
+    assert profile_calls == {name: [_fit_shape(quad)] for name in _BASE}
+    profile_calls.clear()
+    repulsion_tensor((0.4, 2.5), 0.1, 2, quad)
+    repulsion_tensor(preset_basis("hf2d").axial.alphas_i, 0.3, 2, quad)
+    assemble_potential(preset_basis("trion2d"), 0.1, quad)
+    assemble_exciton(preset_basis("exciton2d"), 0.1, quad)
+    assert profile_calls == {}
 
 
 def test_coulomb_argument_outside_the_tables_names_the_exponents():
