@@ -90,7 +90,9 @@ def axial_kernels(ai, aip, aj, ajp, ak, akp):
         K2 = K1 with (ai, aip, B) replaced by (aj, ajp, A)
         KM = -2 pi [ak akp (A+B) + ai aj akp + aip ajp ak] / D^1.5
     Both kinetic forms share D: recomputing it with i and j swapped
-    (BA+BC+AC) rounds differently in the last bit.
+    (BA+BC+AC) rounds differently in the last bit.  KM sums its two cross
+    terms first, so that every kernel is unchanged bit for bit when each
+    exponent trades places with its primed partner.
     """
     A, B, C = ai + aip, aj + ajp, ak + akp
     D = A * B + A * C + B * C
@@ -100,8 +102,8 @@ def axial_kernels(ai, aip, aj, ajp, ak, akp):
         return 2.0 * np.pi * (a * ap * (other + C) + (a * akp + ap * ak)
                               * other + ak * akp * (A + B)) / D32
 
-    KM = -2.0 * np.pi * (ak * akp * (A + B) + ai * aj * akp
-                         + aip * ajp * ak) / D32
+    cross = ai * aj * akp + aip * ajp * ak
+    KM = -2.0 * np.pi * (ak * akp * (A + B) + cross) / D32
     return np.pi / np.sqrt(D), kinetic(ai, aip, B), kinetic(aj, ajp, A), KM
 
 

@@ -25,8 +25,8 @@ class HFState:
     iterations: int
     converged: bool
     history: tuple          # epsilon0 per iteration
-    residual: float         # |F y - eps0 y| of the last F formed (converged:
-                            # of the returned orbital), in the retained modes
+    residual: float         # |F y - eps0 y| of the returned orbital, in the
+                            # retained modes
 
 
 def hartree_matrix(rho, V4):
@@ -41,9 +41,10 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
     F = h + J(y y^T), h = (k/x + u)/x and chi = X0 y / sqrt(x): damped
     Roothaan steps until |g| = |F y - eps y| < WARMUP_TOL, then Newton
     steps on [[F + 2K - eps, y], [y^T, 0]] until |g| <= RESIDUAL_TOL and
-    eps moved by less than EPS_TOL.  history holds eps of h alone, then
-    eps = y^T F y of each iterate.  Raises unless eps is the lowest
-    eigenvalue of its own F.
+    eps moved by less than EPS_TOL, at most max_iter steps.  history holds
+    eps of h alone, then eps = y^T F y of each iterate; eps0, the residual
+    and E_T_HF are those of the returned orbital, converged or not.
+    Raises unless a converged eps is the lowest eigenvalue of its own F.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -57,14 +58,14 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
     e, v = np.linalg.eigh(h)        # V_H = 0 start: exciton-like orbital
     y, history, F_damped = v[:, 0], [float(e[0])], None
     newton = False
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         F = h + field(fam.Vj, y)
         eps = float(y @ F @ y)
         g = F @ y - eps * y
         res = np.linalg.norm(g)
         history.append(eps)
         converged = res <= RESIDUAL_TOL and abs(eps - history[-2]) < EPS_TOL
-        if converged:
+        if converged or step == max_iter:
             break
         newton = newton or res < WARMUP_TOL
         if newton:

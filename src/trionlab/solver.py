@@ -10,12 +10,11 @@ of that family.  Calls without a basis use the preset families, cached
 per process and quadrature (`preset_family`); an explicit basis gets a
 family of its own for each call.
 
-A trion basis that is symmetric under exchange of its two identical
-carriers (`angular.exchange_permutation`) has its retained modes split
-into the exchange-symmetric (singlet) and antisymmetric (triplet)
-sectors, which the Hamiltonian does not couple.  The singlet ground
-state lies in the symmetric sector, so `trion_energy` diagonalizes that
-block alone; `trion_spectrum` solves both.
+The trion problem is the singlet one.  For a trion basis that is
+symmetric under exchange of its two identical carriers
+(`angular.exchange_permutation`) the family keeps only the retained
+modes of the exchange-symmetric (singlet) sector, which the Hamiltonian
+does not couple to the antisymmetric (triplet) one.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,49 +52,31 @@ class TrionResult:
     r: float
 
 
-def _check_symmetric(*mats):
-    if not all(np.allclose(M, M.T) for M in mats):
-        raise ValueError("H and S must be symmetric")
-
-
-def _orthogonalizer(S, sectors=None):
-    """Canonical orthogonalization X of S (X^T S X = 1), sector by sector.
-
-    `sectors` are orthonormal bases T (as columns) of subspaces that S
-    leaves invariant and that together span the space; by default the
-    one sector is the whole space.  X = [X_1 | X_2 | ...] with the block
-    X_s = T V / sqrt(e) from the eigenpairs (e, V) of T^T S T.  Overlap
-    modes with eigenvalue below DROP_TOL times the largest eigenvalue of
-    any sector are discarded to tame near-linear-dependence.  Returns X
-    and the column count of each block.
+def _orthogonalizer(S, T=None):
+    """Canonical orthogonalization X of S (X^T S X = 1) within the span
+    of the orthonormal columns of T, a subspace that S leaves invariant
+    (by default the whole space): X = T V / sqrt(e) from the eigenpairs
+    (e, V) of T^T S T.  Overlap modes with eigenvalue below DROP_TOL
+    times the largest are discarded to tame near-linear-dependence.
     """
-    if sectors is None:
-        sectors = (np.eye(len(S)),)
-    eigs = [np.linalg.eigh(T.T @ S @ T) for T in sectors]
-    top = max(e.max(initial=-np.inf) for e, _ in eigs)
-    blocks = []
-    for T, (e, v) in zip(sectors, eigs):
-        keep = e > DROP_TOL * top
-        blocks.append(T @ (v[:, keep] / np.sqrt(e[keep])))
-    X = np.hstack(blocks)
+    e, v = np.linalg.eigh(S if T is None else T.T @ S @ T)
+    keep = e > DROP_TOL * e.max(initial=-np.inf)
+    X = v[:, keep] / np.sqrt(e[keep])
     if X.shape[1] == 0:
         raise ValueError("overlap matrix has no retained modes")
-    return X, tuple(b.shape[1] for b in blocks)
+    return X if T is None else T @ X
 
 
-def _exchange_sectors(P):
-    """Orthonormal bases (T_sym, T_anti) of the functions that the
-    involution P keeps and flips: (e_a + e_Pa)/sqrt(2) for each pair
-    a < Pa plus e_a for each a = Pa, and (e_a - e_Pa)/sqrt(2)."""
+def _symmetric_sector(P):
+    """Orthonormal basis of the functions that the involution P keeps:
+    (e_a + e_Pa)/sqrt(2) for each pair a < Pa, then e_a for each a = Pa."""
     a = np.arange(len(P))
     pairs, fixed = a[a < P], a[a == P]
-    T_sym = np.zeros((len(P), len(pairs) + len(fixed)))
-    T_anti = np.zeros((len(P), len(pairs)))
+    T = np.zeros((len(P), len(pairs) + len(fixed)))
     cols = np.arange(len(pairs))
-    T_sym[pairs, cols] = T_sym[P[pairs], cols] = np.sqrt(0.5)
-    T_anti[pairs, cols], T_anti[P[pairs], cols] = np.sqrt(0.5), -np.sqrt(0.5)
-    T_sym[fixed, len(pairs) + np.arange(len(fixed))] = 1.0
-    return T_sym, T_anti
+    T[pairs, cols] = T[P[pairs], cols] = np.sqrt(0.5)
+    T[fixed, len(pairs) + np.arange(len(fixed))] = 1.0
+    return T
 
 
 def solve_generalized(H, S):
@@ -107,8 +88,9 @@ def solve_generalized(H, S):
     S = np.asarray(S, float)
     if H.shape != S.shape or H.shape[0] != H.shape[1]:
         raise ValueError("H and S must be square matrices of equal shape")
-    _check_symmetric(H, S)
-    X, _ = _orthogonalizer(S)
+    if not (np.allclose(H, H.T) and np.allclose(S, S.T)):
+        raise ValueError("H and S must be symmetric")
+    X = _orthogonalizer(S)
     e, c = np.linalg.eigh(X.T @ H @ X)
     return Spectrum(e, X @ c, X.shape[1])
 
@@ -131,19 +113,14 @@ class Family:
     reduction alone keeps it to about 1e-10 relative on hf2d), as
     Vj[(a, b), (c, d)] = Vk[(a, c), (b, d)].
 
-    For a trion basis with exchange symmetry P, X0 = [X_sym | X_anti]
-    spans the exchange-symmetric (singlet) sector and then the
-    antisymmetric (triplet) one.  P commutes with S0, Ka, Km and U0, so
-    each reduced matrix is block diagonal in that split and the singlet
-    energies are those of its leading sectors[0] x sectors[0] block.
-    Any other basis has one sector, all of X0.
+    For a trion basis with exchange symmetry P, X0 spans the exchange-
+    symmetric (singlet) sector alone: P commutes with S0, Ka, Km and U0,
+    so the antisymmetric (triplet) sector, which holds no singlet state,
+    decouples.  Any other basis keeps every retained mode of S0.
     """
     basis: BasisSpec        # the basis at r0
-    S: np.ndarray           # S0
-    parts: tuple            # (Ka, Km, U0) for a trion, (K0, U0) otherwise
-    X: np.ndarray           # X0, from `_orthogonalizer(S0, sectors)`
-    sectors: tuple          # retained modes per sector, singlet first
-    reduced: tuple          # X0^T M X0 for each M in parts
+    X: np.ndarray           # X0, from `_orthogonalizer`
+    reduced: tuple          # X0^T M X0 for M in (Ka, Km, U0) or (K0, U0)
     Vj: np.ndarray = None   # V~0 in the (a, b), (c, d) layout (hf only)
     Vk: np.ndarray = None   # V~0 in the (a, c), (b, d) layout (hf only)
 
@@ -151,22 +128,23 @@ class Family:
 def family(problem, basis, quad):
     """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
-    V4 = sectors = Vj = Vk = None
+    V4 = T = Vj = Vk = None
     if problem == "trion":
         S = assemble_overlap(basis)
         Ka = assemble_kinetic(basis, 0.0, r0)
         parts = (Ka, assemble_kinetic(basis, 1.0, r0) - Ka,
                  assemble_potential(basis, r0, quad))
         P = exchange_permutation(basis)
-        sectors = None if P is None else _exchange_sectors(P)
+        T = None if P is None else _symmetric_sector(P)
     else:
         t = assemble_exciton(basis, r0, quad)
         S, parts = t.S, (t.K, t.U)
         if problem == "hf":
             n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
             V4 = repulsion_tensor(basis.axial.alphas_i, r0, n_ang, quad)
-    _check_symmetric(S, *parts)
-    X, dims = _orthogonalizer(S, sectors)
+    if not all(np.array_equal(M, M.T) for M in (S, *parts)):
+        raise ValueError(f"{problem} matrices must be exactly symmetric")
+    X = _orthogonalizer(S, T)
     if V4 is not None:
         V4 = np.einsum("abcd,aA,bB,cC,dD->ABCD", V4, X, X, X, X, optimize=True)
         V4 = V4 + V4.transpose(1, 0, 2, 3)    # average over a <-> b,
@@ -174,9 +152,8 @@ def family(problem, basis, quad):
         V4 = (V4 + V4.transpose(2, 3, 0, 1)) / 8.0
         m2 = X.shape[1] ** 2
         Vj, Vk = V4.reshape(m2, m2), V4.transpose(0, 2, 1, 3).reshape(m2, m2)
-    fam = Family(basis, S, parts, X, dims,
-                 tuple(X.T @ M @ X for M in parts), Vj, Vk)
-    for M in (S, X, Vj, Vk, *parts, *fam.reduced):
+    fam = Family(basis, X, tuple(X.T @ M @ X for M in parts), Vj, Vk)
+    for M in (X, Vj, Vk, *fam.reduced):
         if M is not None:
             M.flags.writeable = False   # a preset family is shared
     return fam
@@ -237,12 +214,10 @@ def _spectrum(fam, h, x, p, bound, r):
             scale_exponents(fam.basis, r))
 
 
-def _trion(r, sigma, charge, model, basis, quad, singlet):
-    """(family, x, bound, h) of the trion at one point: h = X0^T H(r) X0
-    on the singlet sector alone, or on every retained mode."""
+def _trion(r, sigma, charge, model, basis, quad):
+    """(family, x, bound, h) of the trion at one point: h = X0^T H(r) X0."""
     fam, x, bound = family_at("trion", model, r, basis, quad)
-    n = fam.sectors[0] if singlet else fam.X.shape[1]
-    ka, km, u = (M[:n, :n] for M in fam.reduced)
+    ka, km, u = fam.reduced
     return fam, x, bound, ka + mixing_weight(sigma, charge) * km + x * u
 
 
@@ -266,20 +241,16 @@ def exciton_energy(r, model="2d", basis=None, quad=DEFAULT_QUAD):
 
 def trion_spectrum(r, sigma, charge="-", model="2d", basis=None,
                    quad=DEFAULT_QUAD):
-    """Spectrum of every retained mode, both exchange sectors, and the
-    scaled basis."""
-    fam, x, bound, h = _trion(r, sigma, charge, model, basis, quad,
-                              singlet=False)
+    """Singlet spectrum and the scaled basis: the family's retained modes,
+    the exchange-symmetric sector of a basis with exchange symmetry."""
+    fam, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
     return _spectrum(fam, h, x, 2, bound, r)
 
 
 def trion_energy(r, sigma, charge="-", model="2d", basis=None,
                  quad=DEFAULT_QUAD):
-    """Raw (negative) singlet trion ground energy in Ry*: the lowest
-    eigenvalue of the exchange-symmetric sector (of all retained modes
-    for a basis without exchange symmetry)."""
-    _, x, bound, h = _trion(r, sigma, charge, model, basis, quad,
-                           singlet=True)
+    """Raw (negative) singlet trion ground energy in Ry*."""
+    _, x, bound, h = _trion(r, sigma, charge, model, basis, quad)
     return bound(_lowest(h) / x ** 2)
 
 

@@ -30,6 +30,8 @@ COMMANDS = [
     ["sweep-epsilon", "--chirality", "6,5", "--points", "4"],
     ["sweep-species", "--rmin", "3.7", "--rmax", "3.8"],
     ["optimize", "--problem", "exciton", "--model", "1d", "--max-steps", "1"],
+    ["probability", "--radius", "0.1", "--kind", "trion", "--grid", "11"],
+    ["optimize", "--problem", "trion", "--model", "2d", "--max-steps", "0"],
 ]
 
 

@@ -74,7 +74,7 @@ def test_family_spectra_match_general_path(r, model):
     spec, basis = trion_spectrum(r, 0.93, "-", model)
     ref, ref_basis = general_trion(r, 0.93, "-", preset_basis("trion" + model))
     assert basis == ref_basis
-    assert spec.retained_dim == ref.retained_dim
+    assert spec.retained_dim == _singlet_dim(ref_basis)
     assert spec.energies[0] == pytest.approx(ref.energies[0],
                                              abs=CONTRACT_TOL)
     P = trion_probability(spec, basis, 41).values
@@ -93,24 +93,39 @@ def test_family_spectra_match_general_path(r, model):
 def test_exchange_leaves_preset_matrices_invariant(model):
     """P, the exchange of the two identical carriers, is the loop-built
     image of each basis function and leaves S0, Ka, Km and U0 invariant."""
-    fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
-    P = exchange_permutation(fam.basis)
-    T_sym, T_anti = exchange_sectors(fam.basis)
+    basis = preset_basis("trion" + model)
+    r0 = basis.r0
+    Ka = assemble_kinetic(basis, 0.0, r0)
+    mats = (assemble_overlap(basis), Ka, assemble_kinetic(basis, 1.0, r0) - Ka,
+            assemble_potential(basis, r0))
+    P = exchange_permutation(basis)
+    T_sym, T_anti = exchange_sectors(basis)
     a = np.arange(len(P))
     assert np.array_equal(P[P], a)
     assert np.array_equal(np.abs(T_anti[P]), np.abs(T_anti))
     assert np.array_equal(T_sym[P], T_sym)
-    for M in (fam.S, *fam.parts):
+    for M in mats:
         assert np.abs(M[np.ix_(P, P)] - M).max() <= 1e-15 * np.abs(M).max()
 
 
+def _retained_in(T, S):
+    """Orthogonalizer of the overlap S within the columns of T, with the
+    modes below DROP_TOL times the largest eigenvalue of the whole S
+    dropped."""
+    e, v = np.linalg.eigh(T.T @ S @ T)
+    keep = e > solver.DROP_TOL * np.linalg.eigvalsh(S).max()
+    return T @ v[:, keep] / np.sqrt(e[keep])
+
+
+def _singlet_dim(basis):
+    """Retained modes of the oracle's exchange-symmetric sector."""
+    T_sym = exchange_sectors(basis)[0]
+    return _retained_in(T_sym, assemble_overlap(basis)).shape[1]
+
+
 def _lowest_in(T, t):
-    """Lowest energy of the assembled trion t within the columns of T,
-    with the overlap modes below DROP_TOL times the largest eigenvalue of
-    the whole overlap dropped."""
-    e, v = np.linalg.eigh(T.T @ t.S @ T)
-    keep = e > solver.DROP_TOL * np.linalg.eigvalsh(t.S).max()
-    X = T @ v[:, keep] / np.sqrt(e[keep])
+    """Lowest energy of the assembled trion t within the columns of T."""
+    X = _retained_in(T, t.S)
     return np.linalg.eigvalsh(X.T @ (t.K + t.U) @ X)[0]
 
 
@@ -119,30 +134,23 @@ def _lowest_in(T, t):
 def test_singlet_sector_holds_the_ground_state(r, model):
     """On the contract grid the singlet E_T equals the whole-space solve
     assembled at r and its exchange-symmetric sector, and the lowest
-    antisymmetric state, of the family and of the solve at r alike,
-    lies well above it."""
-    trion = preset_basis("trion" + model)
-    b = scale_exponents(trion, r)
+    antisymmetric state of the solve at r lies well above it, so the
+    family loses nothing by keeping the symmetric sector alone."""
+    b = scale_exponents(preset_basis("trion" + model), r)
     T_sym, T_anti = exchange_sectors(b)
-    fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
-    n, x = fam.sectors[0], r / trion.r0
     for sigma, charge in POINTS:
         t = assemble_trion(b, r, sigma, charge)
         ref = solve_generalized(t.K + t.U, t.S).energies[0]
         e_t = trion_energy(r, sigma, charge, model)
         assert e_t == pytest.approx(ref, abs=CONTRACT_TOL)
         assert _lowest_in(T_sym, t) == pytest.approx(ref, abs=CONTRACT_TOL)
-        ka, km, u = (M[n:, n:] for M in fam.reduced)
-        h = ka + mixing_weight(sigma, charge) * km + x * u
-        triplet = np.linalg.eigvalsh(h)[0] / x ** 2
-        assert triplet == pytest.approx(_lowest_in(T_anti, t), abs=1e-8)
-        assert triplet > e_t + 0.4
+        assert _lowest_in(T_anti, t) > e_t + 0.4
 
 
 def test_trion_energy_diagonalizes_the_singlet_sector_alone(monkeypatch):
-    """trion_energy hands `_lowest` the singlet block of the presets (138
-    of the 246 retained modes in 2D, 66 of 110 in 1D); trion_spectrum
-    still solves every retained mode."""
+    """trion_energy and trion_spectrum solve the singlet sector of the
+    presets alone: 138 of the 246 retained modes in 2D, 66 of 110 in 1D,
+    as many as the oracle's symmetric sector keeps."""
     dims, lowest = [], solver._lowest
 
     def counted(h):
@@ -152,10 +160,22 @@ def test_trion_energy_diagonalizes_the_singlet_sector_alone(monkeypatch):
     trion_energy(0.1, 0.5, "-", "2d")
     binding_energy(0.1, 0.5, "+", "1d")
     assert dims == [(138, 138), (66, 66)]
-    for model, dim in (("2d", 246), ("1d", 110)):
+    for model, dim in (("2d", 138), ("1d", 66)):
         assert trion_spectrum(0.1, 0.5, "-", model)[0].retained_dim == dim
         fam = solver.preset_family("trion" + model, DEFAULT_QUAD)
-        assert sum(fam.sectors) == dim
+        assert fam.X.shape[1] == dim == _singlet_dim(fam.basis)
+
+
+def test_family_refuses_matrices_not_exactly_symmetric(monkeypatch):
+    """The assembly builds every family matrix symmetric bit for bit, so
+    a part off by 1e-14 of its size across the diagonal is refused."""
+    def skewed(basis, r, quad):
+        U = assemble_potential(basis, r, quad).copy()
+        U[0, 1] += 1e-14 * np.abs(U).max()
+        return U
+    monkeypatch.setattr(solver, "assemble_potential", skewed)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        solver.family("trion", preset_basis("trion1d"), DEFAULT_QUAD)
 
 
 UNEQUAL_IJ = BasisSpec(AxialBasis((0.2, 1.5, 9.0), (0.3, 2.0, 8.0),
@@ -168,11 +188,9 @@ TWO_LABELS = BasisSpec(AxialBasis((0.2, 1.5, 9.0), (0.2, 1.5, 9.0),
                          ids=["unequal_ij", "two_labels"])
 def test_basis_without_exchange_symmetry_has_one_sector(basis):
     """Unequal carrier exponents, or the two-label angular set that the
-    exchange does not keep: one sector of every retained mode, and the
-    energies of the solve assembled at r."""
+    exchange does not keep: every retained mode, and the energies of the
+    solve assembled at r."""
     assert exchange_permutation(basis) is None
-    fam = solver.family("trion", basis, DEFAULT_QUAD)
-    assert fam.sectors == (fam.X.shape[1],)
     for r, sigma, charge in ((0.05, 0.7, "-"), (0.2, 0.93, "+")):
         ref = general_trion(r, sigma, charge, basis)[0]
         assert trion_energy(r, sigma, charge, "2d", basis) == pytest.approx(
@@ -208,7 +226,7 @@ def test_explicit_basis_matches_general_path(r0, r, model):
     spec, basis = trion_spectrum(r, 0.5, "-", model, trion)
     ref, ref_basis = general_trion(r, 0.5, "-", trion)
     assert basis == ref_basis
-    assert spec.retained_dim == ref.retained_dim
+    assert spec.retained_dim == _singlet_dim(ref_basis)
     assert spec.energies[0] == pytest.approx(ref.energies[0],
                                              abs=CONTRACT_TOL)
     assert trion_energy(r, 0.93, "+", model, trion) == pytest.approx(

@@ -79,6 +79,27 @@ def test_unconverged_scf_reports_a_large_residual():
     assert state.residual > 1e-6
 
 
+def test_unconverged_scf_reports_its_returned_orbital():
+    """Stopped after two steps, eps0, the residual and E_T_HF belong to
+    the orbital returned: recomputed here from the family."""
+    r = 0.2
+    state = scf(r, "2d", max_iter=2)
+    assert not state.converged
+    fam = preset_family("hf2d", DEFAULT_QUAD)
+    x = r / fam.basis.r0
+    y = np.linalg.lstsq(fam.X, state.orbital_coeffs * np.sqrt(x),
+                        rcond=None)[0]
+    k, u = fam.reduced
+    h = (k / x + u) / x
+    F = h + (fam.Vj @ np.outer(y, y).ravel()).reshape(h.shape) / x
+    eps = y @ F @ y
+    assert state.epsilon0 == pytest.approx(eps, abs=1e-10)
+    assert state.residual == pytest.approx(np.linalg.norm(F @ y - eps * y),
+                                           rel=1e-8)
+    assert state.E_T_HF == pytest.approx(2.0 * eps - y @ (F - h) @ y,
+                                         abs=1e-10)
+
+
 @pytest.mark.parametrize("kind", ["hf1d", "hf2d"])
 def test_reduced_tensor_keeps_its_eightfold_symmetry(kind):
     """V~0 = X0^T(x)4 V4_0 is unchanged under a <-> b, c <-> d and pair
