@@ -13,7 +13,7 @@ from .basis import (AngularSet, BasisSpec, pair_kernels, preset_basis,
                     scale_exponents)
 from .hartree_fock import hf_binding_energy, scf
 from .quadrature import DEFAULT_QUAD
-from .solver import binding_energy
+from .solver import TrionResult, exciton_ground, trion_energy
 from .units import (Environment, dimensionless_radius, effective_units,
                     to_physical_energy)
 
@@ -132,9 +132,11 @@ def fit_power_law(x, y):
 # --- sweeps -----------------------------------------------------------------
 def binding_both_charges(r, sigma, model="2d", quad=DEFAULT_QUAD):
     """E_B of S- and S+ (S- alone at sigma = 0) in the preset bases."""
-    charges = ("-",) if sigma == 0 else ("-", "+")
-    return {charge: binding_energy(r, sigma, charge, model, quad=quad)
-            for charge in charges}
+    e_t = {c: trion_energy(r, sigma, c, model, quad=quad)
+           for c in (("-",) if sigma == 0 else ("-", "+"))}
+    e_x = exciton_ground(r, model, quad=quad)
+    return {c: TrionResult(e, e_x, e_x - e, model, sigma, c, r)
+            for c, e in e_t.items()}
 
 
 def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),

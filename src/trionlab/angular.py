@@ -13,18 +13,22 @@ on q <= 200 and an asymptotic series in 1/q on the rest.  Assembly reads
 each profile's outer sum (`outer_sum`) from Chebyshev tables in ln t.
 """
 import math
+import pathlib
+import sys
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polyval
-from scipy.special import dawsn, i0e, i1e
 
-from .quadrature import outer_rule
+from .cache import source_digest
+from .quadrature import DEFAULT_QUAD, outer_rule
 
 
 def flat_weight(q):
     """integral exp(-q sin^2(t/2)) dt over [-pi, pi] = 2 pi e^{-q/2} I0(q/2)."""
+    from scipy.special import i0e
     return 2.0 * np.pi * i0e(np.asarray(q, float) / 2.0)
 
 
@@ -33,6 +37,7 @@ def sin_weight(q):
 
     F is the Dawson function; the q -> 0 limit is 4.
     """
+    from scipy.special import dawsn
     q = np.asarray(q, float)
     small = q < 1e-12
     qs = np.where(small, 1.0, q)
@@ -42,6 +47,7 @@ def sin_weight(q):
 
 def sin2_weight(q):
     """integral sin^2(t/2) exp(-q sin^2(t/2)) dt = pi e^{-q/2} (I0 - I1)(q/2)."""
+    from scipy.special import i0e, i1e
     q = np.asarray(q, float) / 2.0
     return np.pi * (i0e(q) - i1e(q))
 
@@ -144,21 +150,10 @@ def exchange_permutation(basis):
 
 
 def pair_entry(channel, l, lp):
-    """(coefficient, profile) with pair_weight = coefficient * profile(q)."""
+    """(coefficient, profile): coefficient * profile(q) is the raw integral
+    over [-pi, pi]^2 of labels l, lp (0-based) for one Coulomb channel."""
     m = CHANNEL_LABELS[channel]
     return _T1[tuple(sorted((m[l], m[lp])))]
-
-
-def pair_weight(channel, l, lp, q):
-    """Two-particle angular integral for one Coulomb channel.
-
-    channel 0/1: attraction carrying angle theta_1 / theta_2;
-    channel 2: repulsion carrying theta_1 - theta_2.
-    Labels l, lp are 0-based.  Result is the raw integral over
-    [-pi, pi]^2 (no 1/(2 pi)^2 normalization).
-    """
-    coef, prof = pair_entry(channel, l, lp)
-    return coef * prof(q)
 
 
 # --- single-particle convolution table (mean-field repulsion) ---------------
@@ -174,17 +169,13 @@ _POWER_CORR = {(0, 0): (2.0 * np.pi, 0.0, 0.0), (0, 1): (4.0, 0.0, 0.0),
 
 
 def power_corr_terms(p1, p2):
-    """(coefficient, profile) pairs whose sum is power_corr_weight."""
+    """(coefficient, profile) pairs: the sum of coefficient * profile(q) is
+    the integral of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2))."""
     abc = _POWER_CORR.get((min(p1, p2), max(p1, p2)))
     if abc is None:
         raise ValueError(f"invalid angular powers ({p1}, {p2})")
     return tuple((c, prof) for c, prof in
                  zip(abc, (flat_weight, cos_weight, sincorr_weight)) if c)
-
-
-def power_corr_weight(p1, p2, q):
-    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2))."""
-    return sum(c * prof(q) for c, prof in power_corr_terms(p1, p2))
 
 
 # --- outer sums -------------------------------------------------------------
@@ -193,9 +184,30 @@ def power_corr_weight(p1, p2, q):
 # of ln t, interpolating at Chebyshev points.  The series are linear in g,
 # so the tables of cos_weight and sincorr_weight are sums of base tables.
 # Tables are keyed by profile name: a functools.wraps wrapper shares them.
+# DEFAULT_QUAD's base tables ship in TABLE_FILE (`python -m trionlab.angular`
+# writes it), read only while its digest matches angular.py and quadrature.py.
 LN_T, _PANELS, _DEG = (-20.0, 20.0), 40, 24
 _WIDTH = (LN_T[1] - LN_T[0]) / _PANELS
 _TABLES = {}
+_BASE = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
+TABLE_FILE = pathlib.Path(__file__).with_name("outer_tables.npz")
+
+
+@cache
+def _shipped():
+    """The base tables in TABLE_FILE; {} if it is missing, corrupt or stale."""
+    try:
+        with np.load(TABLE_FILE) as f:
+            if f["digest"] == source_digest(("angular.py", "quadrature.py")):
+                return {name: f[name] for name in _BASE}
+        problem = f"stale {TABLE_FILE}"
+    except FileNotFoundError:
+        return {}
+    except Exception as exc:    # any unreadable file is refitted
+        problem = f"corrupt {TABLE_FILE} ({type(exc).__name__}: {exc})"
+    print(f"warning: ignoring {problem}; rewrite it with "
+          "`PYTHONPATH=src python -m trionlab.angular`", file=sys.stderr)
+    return {}
 
 
 def _table(prof, quad):
@@ -206,6 +218,8 @@ def _table(prof, quad):
             c = _table(flat_weight, quad) - 2.0 * _table(sin2_weight, quad)
         elif key[0] == "sincorr_weight":
             c = 2.0 * _table(sin_weight, quad) + _table(_sincorr_tail, quad)
+        elif quad == DEFAULT_QUAD and key[0] in _shipped():
+            c = _shipped()[key[0]]
         else:
             _, wts, sinh2 = outer_rule(quad)
             s = chebpts1(_DEG + 1)
@@ -235,3 +249,9 @@ def outer_sum(prof, t, quad):
     for ck in c[:0:-1]:
         b1, b2 = ck + s2 * b1 - b2, b1
     return c[0] + 0.5 * s2 * b1 - b2
+
+
+if __name__ == "__main__":
+    _shipped = dict     # fit every table, whatever TABLE_FILE holds
+    np.savez(TABLE_FILE, digest=source_digest(("angular.py", "quadrature.py")),
+             **{name: _table(globals()[name], DEFAULT_QUAD) for name in _BASE})

@@ -6,7 +6,8 @@ one table lookup per distinct weight on each grid of t.  Angular factors
 carry the measure d(theta)/(2 pi) per particle, matching the normalized
 angular kernel tables in `basis`.
 """
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,11 +20,7 @@ from .quadrature import DEFAULT_QUAD
 _PREF = 1.0 / (4.0 * np.pi ** 2) * (4.0 / np.sqrt(np.pi)) * np.pi
 
 
-@dataclass(frozen=True)
-class MatrixTriple:
-    S: np.ndarray
-    K: np.ndarray
-    U: np.ndarray
+MatrixTriple = namedtuple("MatrixTriple", "S K U")
 
 
 def mixing_weight(sigma, charge):
@@ -47,10 +44,11 @@ def _axial_arrays(basis):
                  for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k))
 
 
-def _axial_tensors(basis):
-    """Exponents broadcast to the axes (i, i', j, j', k, k'), in that order."""
+@lru_cache(maxsize=1)   # a trion family reads one basis's kernels 3 times
+def _axial_kernels(basis):
+    """`axial_kernels` on the axes (i, i', j, j', k, k'), in that order."""
     ai, aj, ak = _axial_arrays(basis)
-    return np.ix_(ai, ai, aj, aj, ak, ak)
+    return axial_kernels(*np.ix_(ai, ai, aj, aj, ak, ak))
 
 
 def _flatten(T):
@@ -62,7 +60,7 @@ def _flatten(T):
 
 def assemble_overlap(basis):
     """Full overlap matrix S (axial Gaussian overlap x angular table)."""
-    ST, _, _, _ = axial_kernels(*_axial_tensors(basis))
+    ST = _axial_kernels(basis)[0]
     L = basis.angular.size
     return _flatten(ST[..., None, None] * ANGULAR_OVERLAP[:L, :L])
 
@@ -72,7 +70,7 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
     mass-fraction-weighted mixed terms."""
     check_inputs(r)
     w = mixing_weight(sigma, charge)
-    ST, KT1, KT2, KTM = axial_kernels(*_axial_tensors(basis))
+    ST, KT1, KT2, KTM = _axial_kernels(basis)
     L = basis.angular.size
     ang = (ANGULAR_KINETIC + w * ANGULAR_KINETIC_MIXED)[:L, :L] / r ** 2
     K = ST[..., None, None] * ang \

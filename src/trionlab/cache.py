@@ -6,11 +6,11 @@ import pathlib
 import sys
 
 
-def source_digest():
-    """sha256 over the package's own *.py sources (names and bytes)."""
-    digest = hashlib.sha256()
-    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+def source_digest(names=None):
+    """sha256 of the named package files (names and bytes), or all *.py."""
+    here, digest = pathlib.Path(__file__).parent, hashlib.sha256()
+    for name in names or sorted(p.name for p in here.glob("*.py")):
+        digest.update(name.encode() + b"\0" + (here / name).read_bytes())
     return digest.hexdigest()
 
 

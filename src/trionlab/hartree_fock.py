@@ -29,11 +29,6 @@ class HFState:
                             # retained modes
 
 
-def hartree_matrix(rho, V4):
-    """<a|V_H|b> of the density matrix rho (chi chi^T for one orbital chi)."""
-    return np.einsum("abcd,cd->ab", V4, rho)
-
-
 def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
     """Self-consistent single-orbital solution at radius r.
 

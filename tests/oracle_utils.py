@@ -300,15 +300,33 @@ def general_scf(r, basis, mixing=0.5, tol=1e-8, max_iter=200,
     rho = np.outer(chi, chi)
     for it in range(1, max_iter + 1):
         prev = eps
-        eps, chi = lowest(h + np.einsum("abcd,cd->ab", V4, rho))
+        eps, chi = lowest(h + hartree_matrix(rho, V4))
         rho = mixing * np.outer(chi, chi) + (1.0 - mixing) * rho
         if abs(eps - prev) < tol:
             break
-    VH = np.einsum("abcd,cd->ab", V4, np.outer(chi, chi))
+    VH = hartree_matrix(np.outer(chi, chi), V4)
     return 2.0 * eps - chi @ VH @ chi, chi, it
 
 
+def hartree_matrix(rho, V4):
+    """<a|V_H|b> of the density matrix rho (chi chi^T for one orbital chi)."""
+    return np.einsum("abcd,cd->ab", V4, rho)
+
+
 # --- Coulomb kernels as plain loops ------------------------------------------
+def pair_weight(channel, l, lp, q):
+    """Two-particle angular integral of one Coulomb channel at q, from
+    `angular.pair_entry` (raw, over [-pi, pi]^2)."""
+    coef, prof = angular.pair_entry(channel, l, lp)
+    return coef * prof(q)
+
+
+def power_corr_weight(p1, p2, q):
+    """integral over (t1, t2) of |s(t1)|^p1 |s(t2)|^p2 exp(-q sin^2((t1-t2)/2)),
+    from `angular.power_corr_terms`."""
+    return sum(c * prof(q) for c, prof in angular.power_corr_terms(p1, p2))
+
+
 def _pair_sums(al):
     """Sums al[i] + al[j] for i <= j and the (n, n) index into them."""
     n = len(al)
@@ -341,7 +359,7 @@ def loop_potential(basis, r, quad=DEFAULT_QUAD):
         pref = sgn * norm * (4.0 / np.sqrt(np.pi)) * np.pi / np.sqrt(E)
         for l in range(L):
             for lp in range(L):
-                J = angular.pair_weight(channel, l, lp, q) @ wts
+                J = pair_weight(channel, l, lp, q) @ wts
                 Uu[..., l, lp] += pref * J
     n1, n2, n3 = len(ax.alphas_i), len(ax.alphas_j), len(ax.alphas_k)
     U = Uu[np.ix_(ia.ravel(), ib.ravel(), ic.ravel())]
@@ -371,6 +389,6 @@ def loop_repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
                 for lb in range(n_ang):
                     for lc in range(n_ang):
                         for ld in range(n_ang):
-                            W = angular.power_corr_weight(la + lb, lc + ld, q)
+                            W = power_corr_weight(la + lb, lc + ld, q)
                             V[a, la, b, lb, :, lc, :, ld] = pref * (W @ wts)
     return V.reshape(N, N, N, N)

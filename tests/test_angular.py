@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import i0e, i1e
 
 from trionlab import angular
+from trionlab.cache import source_digest
 from trionlab.quadrature import DEFAULT_QUAD, QuadratureSpec, outer_rule
 
 # The tail of sincorr_weight is a Chebyshev series on the q panels with
@@ -105,34 +106,42 @@ PHIS = [lambda t1, t2: 1.0,
 CARRIERS = [lambda t1, t2: t1, lambda t1, t2: t2, lambda t1, t2: t1 - t2]
 
 
+def _pair_weight(channel, l, lp, q):
+    coef, prof = angular.pair_entry(channel, l, lp)
+    return coef * prof(q)
+
+
 @pytest.mark.parametrize("channel", [0, 1, 2])
 @pytest.mark.parametrize("l,lp", [(l, lp) for l in range(4)
                                   for lp in range(l, 4)])
 def test_pair_weight(channel, l, lp):
+    """The pair weight coefficient * profile(q) of `pair_entry`."""
     q = 1.7
     want = dbl_ring_integral(lambda t1, t2: PHIS[l](t1, t2) * PHIS[lp](t1, t2),
                              CARRIERS[channel], q)
-    got = angular.pair_weight(channel, l, lp, np.array(q))
+    got = _pair_weight(channel, l, lp, np.array(q))
     assert got == pytest.approx(want, rel=1e-9)
     # the table is symmetric in the two labels
-    assert angular.pair_weight(channel, lp, l, np.array(q)) \
+    assert _pair_weight(channel, lp, l, np.array(q)) \
         == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("p1", [0, 1, 2])
 @pytest.mark.parametrize("p2", [0, 1, 2])
 def test_power_corr_weight(p1, p2):
+    """The sum of coefficient * profile(q) over `power_corr_terms`."""
     q = 2.3
     want = dbl_ring_integral(
         lambda t1, t2: abs(np.sin(t1 / 2.0)) ** p1
         * abs(np.sin(t2 / 2.0)) ** p2,
         CARRIERS[2], q)
-    assert angular.power_corr_weight(p1, p2, q) == pytest.approx(want, rel=1e-9)
+    got = sum(c * prof(q) for c, prof in angular.power_corr_terms(p1, p2))
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_power_corr_weight_invalid():
     with pytest.raises(ValueError):
-        angular.power_corr_weight(3, 0, 1.0)
+        angular.power_corr_terms(3, 0)
 
 
 def test_weights_vectorized_shape():
@@ -198,3 +207,78 @@ def test_outer_sum_rejects_t_outside_its_table(t):
         angular.outer_sum(angular.flat_weight, np.array([1.0, t]),
                           DEFAULT_QUAD)
 
+
+# --- tables shipped with the package ------------------------------------------
+REGENERATE = "PYTHONPATH=src python -m trionlab.angular"
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Drop every table in memory; reload TABLE_FILE on the next miss."""
+    monkeypatch.setattr(angular, "_TABLES", {})
+    angular._shipped.cache_clear()
+    yield
+    angular._shipped.cache_clear()
+
+
+def _tables(quad):
+    return {n: angular._table(getattr(angular, n), quad)
+            for n in angular._BASE}
+
+
+def _fitted(quad, monkeypatch):
+    """The base tables of `quad` fitted afresh, as the regenerate command
+    fits them: nothing in memory and no file read."""
+    with monkeypatch.context() as m:
+        m.setattr(angular, "_TABLES", {})
+        m.setattr(angular, "_shipped", dict)
+        return _tables(quad)
+
+
+def test_shipped_tables_are_a_fresh_fit_of_the_current_sources(no_tables,
+                                                               monkeypatch):
+    digest = source_digest(("angular.py", "quadrature.py"))
+    with np.load(angular.TABLE_FILE) as f:
+        assert str(f["digest"]) == digest, \
+            f"stale {angular.TABLE_FILE}: regenerate it with `{REGENERATE}`"
+        for name, want in _fitted(DEFAULT_QUAD, monkeypatch).items():
+            assert np.array_equal(f[name], want), \
+                f"{name} differs from a fresh fit: `{REGENERATE}`"
+    assert all(c is angular._shipped()[n]
+               for n, c in _tables(DEFAULT_QUAD).items())
+
+
+@pytest.mark.parametrize("kind", ["stale", "corrupt", "missing"])
+def test_unusable_tables_file_is_refitted(kind, no_tables, tmp_path,
+                                          monkeypatch, capsys):
+    """A file of other sources (here zeros under a wrong digest), a file
+    that is not an npz, and no file at all: each is refitted, and the
+    first two say so on stderr."""
+    path = tmp_path / "outer_tables.npz"
+    if kind == "stale":
+        zeros = np.zeros((angular._DEG + 1, angular._PANELS))
+        np.savez(path, digest="0" * 64, **{n: zeros for n in angular._BASE})
+    elif kind == "corrupt":
+        path.write_bytes(b"PK\x03\x04 not an archive")
+    monkeypatch.setattr(angular, "TABLE_FILE", path)
+    got, want = _tables(DEFAULT_QUAD), _fitted(DEFAULT_QUAD, monkeypatch)
+    assert all(np.array_equal(got[n], want[n]) for n in angular._BASE)
+    err = capsys.readouterr().err
+    if kind == "missing":
+        assert err == ""
+    else:
+        assert f"ignoring {kind} {path}" in err and REGENERATE in err
+
+
+@pytest.mark.parametrize("quad", [QuadratureSpec(outer_order=9),
+                                  DEFAULT_QUAD.refined()])
+def test_other_quadratures_never_read_the_tables_file(quad, no_tables,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    path = tmp_path / "outer_tables.npz"
+    path.write_bytes(b"not an archive")
+    monkeypatch.setattr(angular, "TABLE_FILE", path)
+    got, want = _tables(quad), _fitted(quad, monkeypatch)
+    assert all(np.array_equal(got[n], want[n]) for n in angular._BASE)
+    assert angular._shipped.cache_info().currsize == 0
+    assert capsys.readouterr().err == ""

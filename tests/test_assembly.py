@@ -227,8 +227,7 @@ _PROFILES = ("flat_weight", "sin_weight", "sin2_weight", "cos_weight",
              "sincorr_weight", "_sincorr_tail")
 
 
-@pytest.fixture
-def profile_calls(monkeypatch):
+def _count_profile_calls(monkeypatch):
     """Shapes of the arguments of every angular profile call, per profile,
     with every outer-sum table dropped.  The profiles are wrapped wherever
     the package looks one up: the module attributes and the channel table;
@@ -247,7 +246,17 @@ def profile_calls(monkeypatch):
     for key, (coef, fn) in list(angular._T1.items()):
         monkeypatch.setitem(angular._T1, key, (coef, wrapped[fn]))
     monkeypatch.setattr(angular, "_TABLES", {})
+    angular._shipped.cache_clear()
     return calls
+
+
+@pytest.fixture
+def profile_calls(monkeypatch, tmp_path):
+    """`_count_profile_calls` with the shipped tables file missing, so
+    every table of every quadrature is fitted."""
+    monkeypatch.setattr(angular, "TABLE_FILE", tmp_path / "missing.npz")
+    yield _count_profile_calls(monkeypatch)
+    angular._shipped.cache_clear()
 
 
 _BASE = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
@@ -276,6 +285,18 @@ def test_potential_evaluates_each_profile_once_per_channel(profile_calls):
     quad = DEFAULT_QUAD.refined()
     assemble_potential(preset_basis("trion1d"), 0.1, quad)
     assert profile_calls == {"flat_weight": [_fit_shape(quad)]}
+
+
+def test_shipped_tables_leave_default_potentials_without_profiles(
+        monkeypatch):
+    """With the shipped file, the first trion2d potential at DEFAULT_QUAD
+    reads its four base tables and evaluates no profile."""
+    calls = _count_profile_calls(monkeypatch)
+    assert angular.TABLE_FILE.exists()
+    U = assemble_potential(preset_basis("trion2d"), 0.1, DEFAULT_QUAD)
+    assert calls == {}
+    assert set(angular._TABLES) >= {(n, DEFAULT_QUAD) for n in _BASE}
+    assert _rel(U, loop_potential(preset_basis("trion2d"), 0.1)) < 1e-12
 
 
 def test_repulsion_tensor_evaluates_profiles_once_per_call(profile_calls):

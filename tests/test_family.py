@@ -290,8 +290,9 @@ def _numerics(names, prefixes=("numpy", "scipy")):
 def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     """Importing the package or the CLI assembles nothing and loads no
     scipy solver; a bare `import trionlab` and a warm cache hit load no
-    numerics at all, cold `bands` and `masses` runs load no scipy, and a
-    cold `trion --chirality` run loads no `scipy.optimize`."""
+    numerics at all, cold `bands`, `masses`, `exciton` and `hf` runs load
+    no scipy, and cold `trion` runs load no `scipy.special` (the default
+    quadrature's tables are shipped) and no `scipy.optimize`."""
     code = ("import sys, trionlab.cli, trionlab.solver as s; "
             "assert s.preset_family.cache_info().currsize == 0; "
             "assert 'scipy.optimize' not in sys.modules; "
@@ -301,18 +302,20 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     argv = ["-m", "trionlab.cli", "trion", "--radius", "0.1", "--model", "1d",
             "--cache-dir", str(tmp_path)]
     cold, names = _imported(argv)
-    assert "scipy.special" in names
+    assert "scipy.special" not in names
     warm, names = _imported(argv)
     assert warm == cold
     assert _numerics(names) == []
     for argv in (["bands", "--chirality", "4,2", "--points", "5"],
-                 ["masses", "--chirality", "6,5"]):
+                 ["masses", "--chirality", "6,5"],
+                 ["hf", "--radius", "0.3"],
+                 ["exciton", "--radius", "0.2", "--model", "1d"]):
         _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
         assert "numpy" in names
         assert _numerics(names, ("scipy",)) == []
     _, names = _imported(["-m", "trionlab.cli", "trion", "--chirality", "6,5",
                           "--no-cache"])
-    assert "scipy.special" in names
+    assert "scipy.special" not in names
     assert "scipy.optimize" not in names
 
 

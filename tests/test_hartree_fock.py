@@ -6,9 +6,11 @@ from trionlab import AngularSet, AxialBasis, BasisSpec, binding_energy, scf
 from trionlab import hartree_fock
 from trionlab.assembly import assemble_exciton, repulsion_tensor
 from trionlab.basis import preset_basis, scale_exponents
-from trionlab.hartree_fock import hartree_matrix, hf_binding_energy
+from trionlab.hartree_fock import hf_binding_energy
 from trionlab.quadrature import DEFAULT_QUAD
 from trionlab.solver import exciton_ground, preset_family, solve_generalized
+
+from oracle_utils import hartree_matrix
 
 SMALL = BasisSpec(AxialBasis((0.07, 0.9, 6.0, 40.0), (1.0,), (1.0,)),
                   AngularSet.EXCITON_PAIR, "2d")
