@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tightbinding as tb
-from .assembly import assemble_overlap
+from .assembly import assemble_overlap, mixing_weight
 from .basis import (AngularSet, BasisSpec, pair_kernels, preset_basis,
                     scale_exponents)
 from .hartree_fock import hf_binding_energy, scf
@@ -130,13 +130,24 @@ def fit_power_law(x, y):
 
 
 # --- sweeps -----------------------------------------------------------------
+def _binding_results(r, sigmas, model, quad):
+    """TrionResults of S+ then S- (S- alone at sigma = 0) for each sigma in
+    turn, from one exciton solve and one trion solve per distinct
+    `mixing_weight`, the trion's only dependence on sigma and the charge."""
+    e_x = exciton_ground(r, model, quad=quad)
+    e_t, out = {}, []
+    for s in sigmas:
+        for c in (("-",) if s == 0 else ("+", "-")):
+            w = mixing_weight(s, c)
+            if w not in e_t:
+                e_t[w] = trion_energy(r, s, c, model, quad=quad)
+            out.append(TrionResult(e_t[w], e_x, e_x - e_t[w], model, s, c, r))
+    return out
+
+
 def binding_both_charges(r, sigma, model="2d", quad=DEFAULT_QUAD):
     """E_B of S- and S+ (S- alone at sigma = 0) in the preset bases."""
-    e_t = {c: trion_energy(r, sigma, c, model, quad=quad)
-           for c in (("-",) if sigma == 0 else ("-", "+"))}
-    e_x = exciton_ground(r, model, quad=quad)
-    return {c: TrionResult(e, e_x, e_x - e, model, sigma, c, r)
-            for c, e in e_t.items()}
+    return {x.charge: x for x in _binding_results(r, (sigma,), model, quad)}
 
 
 def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),
@@ -162,10 +173,8 @@ def sweep_radius(r_grid=None, sigmas=(0.0,), models=("1d", "2d"),
                     res, _ = hf_binding_energy(r, model, quad=quad)
                     rows.append(_result_row(res, "hf"))
                     continue
-                for sigma in sigmas:
-                    for charge, res in sorted(
-                            binding_both_charges(r, sigma, model, quad).items()):
-                        rows.append(_result_row(res, "full"))
+                rows += [_result_row(res, "full") for res in
+                         _binding_results(r, sigmas, model, quad)]
     return rows
 
 
@@ -178,9 +187,8 @@ def _result_row(res, method):
 def sweep_sigma(r=0.1, sigmas=None, model="2d", quad=DEFAULT_QUAD):
     if sigmas is None:
         sigmas = np.linspace(0.0, 1.0, 11)
-    return [_result_row(res, "full") for sigma in sigmas
-            for _, res in sorted(
-                binding_both_charges(r, float(sigma), model, quad).items())]
+    return [_result_row(res, "full") for res in _binding_results(
+        r, [float(sigma) for sigma in sigmas], model, quad)]
 
 
 def species_units(ch, env=Environment(), params=tb.DEFAULT_PARAMS):

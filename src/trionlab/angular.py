@@ -66,6 +66,7 @@ def cos_weight(q):
 _Q_EDGES = np.array([0.0, 2.0, 8.0, 32.0, 200.0])
 
 
+@cache     # fitted on first use: the shipped tables need no tail values
 def _fit_tail(deg=24):
     """Centres, half-widths (in sqrt(q)) and coefficients of the panels."""
     x, w = leggauss(32)
@@ -76,9 +77,6 @@ def _fit_tail(deg=24):
     q = (mid[:, None, None] + half[:, None, None] * t[:, None]) ** 2
     vals = (np.exp(-q * np.sin(u) ** 2) * f).sum(axis=-1)
     return mid, half, chebfit(t, vals.T, deg).T
-
-
-_MID, _HALF, _TAIL_COEF = _fit_tail()
 
 
 # Large-q asymptotics of the same remainder: substituting s = sin(u) gives
@@ -94,12 +92,13 @@ def _sincorr_tail(q):
     asymptotic series on the rest.  Every step is elementwise, so a value
     does not depend on the other points passed with it."""
     q = np.asarray(q, float)
+    mid, half, coefs = _fit_tail()
     panel = np.searchsorted(_Q_EDGES[1:], q)
-    big = panel == len(_TAIL_COEF)  # q > 200
+    big = panel == len(coefs)       # q > 200
     tail = np.empty_like(q)
-    for i, coef in enumerate(_TAIL_COEF):
+    for i, coef in enumerate(coefs):
         m = panel == i
-        tail[m] = chebval((np.sqrt(q[m]) - _MID[i]) / _HALF[i], coef)
+        tail[m] = chebval((np.sqrt(q[m]) - mid[i]) / half[i], coef)
     x = 1.0 / q[big]
     tail[big] = 2.0 * np.pi ** 1.5 * np.sqrt(x) - x * polyval(x, _ASY_C)
     return tail

@@ -24,18 +24,17 @@ MatrixTriple = namedtuple("MatrixTriple", "S K U")
 
 
 def mixing_weight(sigma, charge):
-    """Mass-fraction weight of the mixed kinetic terms: 2 sigma/(1+sigma).
-
-    charge '+' applies sigma -> 1/sigma, giving 2/(1+sigma).
-    """
+    """Mass-fraction weight 2 rho/(1+rho) of the mixed kinetic terms, rho
+    the mass ratio of the identical carriers to the third: sigma for charge
+    '-', 1/sigma for '+', so S+ at sigma is S- at 1/sigma."""
     check_inputs(sigma=sigma)
-    if charge == "-":
-        return 2.0 * sigma / (1.0 + sigma)
     if charge == "+":
         if sigma == 0:
             raise ValueError("positive trion requires sigma > 0")
-        return 2.0 / (1.0 + sigma)
-    raise ValueError(f"unknown charge {charge!r}")
+        sigma = 1.0 / sigma
+    elif charge != "-":
+        raise ValueError(f"unknown charge {charge!r}")
+    return 2.0 * sigma / (1.0 + sigma)
 
 
 def _axial_arrays(basis):

@@ -1,9 +1,11 @@
 """Content-addressed JSON result cache for the CLI."""
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
 import sys
+import tempfile
 
 
 def source_digest(names=None):
@@ -28,7 +30,10 @@ class ResultCache:
     def __init__(self, directory):
         self.directory = directory
         if directory:
-            os.makedirs(directory, exist_ok=True)
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as exc:
+                raise ValueError(f"unusable cache directory: {exc}") from None
 
     @classmethod
     def from_environment(cls, flag_dir=None, disabled=False):
@@ -63,9 +68,17 @@ class ResultCache:
             return None
 
     def put(self, key, payload):
+        """Write via a temp file of this writer's own; a failure only warns."""
         if not self.directory:
             return
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"key": key, "payload": payload}, fh)
-        os.replace(tmp, self._path(key))
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(".tmp", key + ".", self.directory)
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"key": key, "payload": payload}, fh)
+            os.replace(tmp, self._path(key))
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)

@@ -52,7 +52,7 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
 
     e, v = np.linalg.eigh(h)        # V_H = 0 start: exciton-like orbital
     y, history, F_damped = v[:, 0], [float(e[0])], None
-    newton = False
+    newton, A = False, np.zeros((len(y) + 1,) * 2)   # [[H, y], [y^T, 0]]
     for step in range(max_iter + 1):
         F = h + field(fam.Vj, y)
         eps = float(y @ F @ y)
@@ -64,8 +64,8 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
             break
         newton = newton or res < WARMUP_TOL
         if newton:
-            H = F + 2.0 * field(fam.Vk, y) - eps * np.eye(len(y))
-            A = np.block([[H, y[:, None]], [y, 0.0]])
+            A[:-1, :-1] = F + 2.0 * field(fam.Vk, y) - eps * np.eye(len(y))
+            A[:-1, -1] = A[-1, :-1] = y
             y = y + np.linalg.solve(A, np.append(-g, 0.0))[:-1]
             y /= np.linalg.norm(y)
         else:                       # the first Roothaan step is undamped

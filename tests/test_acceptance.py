@@ -145,6 +145,7 @@ def test_criterion_8_angular_table_by_quadrature():
     assert abs(angular_kernels(4, 4)[2] + 0.125) < 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_8_potential_entries_brute_force():
     """20 random Coulomb matrix entries against independent quadrature."""
     b = BasisSpec(AxialBasis((0.2, 1.9), (0.5, 2.4), (0.11, 1.4)),

@@ -4,11 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from trionlab import analysis
 from trionlab.analysis import ProbabilityGrid, binding_both_charges, \
     detectability_radius, exciton_probability, fit_power_law, hf_difference, \
     hf_pair_probability, sweep_radius, sweep_sigma, trion_probability
 from trionlab.basis import preset_basis, scale_exponents
-from trionlab.solver import exciton_spectrum, trion_spectrum
+from trionlab.solver import exciton_spectrum, trion_energy, trion_spectrum
 
 
 def _grid_integral_2d(g):
@@ -160,3 +161,64 @@ def test_sweep_sigma_rows_deterministic():
     assert rows1 == rows2
     assert [row["sigma"] for row in rows1] == [0.0, 1.0, 1.0]
     assert {row["charge"] for row in rows1} == {"-", "+"}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts of the trion and exciton solves made through `analysis`."""
+    counts = {"trion": 0, "exciton": 0}
+    for name, key in (("trion_energy", "trion"),
+                      ("exciton_ground", "exciton")):
+        def counted(*args, _fn=getattr(analysis, name), _key=key, **kw):
+            counts[_key] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(analysis, name, counted)
+    return counts
+
+
+def _per_sigma_rows(r, sigmas, model):
+    """Rows as one `binding_both_charges` call per sigma gives them."""
+    return [analysis._result_row(res, "full") for sigma in sigmas
+            for _, res in sorted(binding_both_charges(r, sigma,
+                                                      model).items())]
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_sweep_radius_solves_each_distinct_point_once(model, solves):
+    """Sigmas (0, s, 1/s) hold three distinct trions (S+ at s is S- at 1/s)
+    and one exciton per radius and model."""
+    s = 0.7
+    rows = sweep_radius([0.13], (0.0, s, 1.0 / s), (model,), ("full",))
+    assert solves == {"trion": 3, "exciton": 1}
+    assert rows == _per_sigma_rows(0.13, (0.0, s, 1.0 / s), model)
+    assert [(row["sigma"], row["charge"]) for row in rows] == [
+        (0.0, "-"), (s, "+"), (s, "-"), (1.0 / s, "+"), (1.0 / s, "-")]
+
+
+def test_sweep_sigma_solves_each_distinct_point_once(solves):
+    """The default grid 0, 0.1, ..., 1: S- at sigma = 0, ten S- and ten S+,
+    of which S+ and S- at sigma = 1 are one point."""
+    rows = sweep_sigma(0.1, model="1d")
+    assert solves == {"trion": 20, "exciton": 1}
+    assert len(rows) == 21
+    assert rows == _per_sigma_rows(
+        0.1, [float(s) for s in np.linspace(0.0, 1.0, 11)], "1d")
+
+
+def test_sweep_with_repeated_sigma_keeps_every_row(solves):
+    sigmas = (0.5, 0.0, 0.5, 2.0, 0.0)
+    rows = sweep_sigma(0.2, sigmas, "2d")
+    assert [(row["sigma"], row["charge"]) for row in rows] == [
+        (0.5, "+"), (0.5, "-"), (0.0, "-"), (0.5, "+"), (0.5, "-"),
+        (2.0, "+"), (2.0, "-"), (0.0, "-")]
+    assert solves == {"trion": 3, "exciton": 1}
+    assert rows == _per_sigma_rows(0.2, sigmas, "2d")
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_positive_trion_is_negative_trion_at_inverse_sigma(model):
+    """One charge map: S+ at sigma and S- at 1/sigma are the same float."""
+    rng = np.random.default_rng(18)
+    for s, r in zip(rng.uniform(0.05, 20.0, 6), rng.uniform(0.03, 0.3, 6)):
+        assert trion_energy(r, s, "+", model) == \
+            trion_energy(r, 1.0 / s, "-", model)

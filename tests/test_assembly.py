@@ -81,6 +81,7 @@ def test_exchange_symmetry_of_matrices():
         assert np.allclose(M, M[np.ix_(perm, perm)], atol=1e-10)
 
 
+@pytest.mark.slow
 def test_potential_entries_against_brute_force():
     """20 random entries of U against nested adaptive quadrature built on
     the axial Bessel identity (tolerance 1e-6 relative)."""

@@ -2,10 +2,13 @@
 import io
 import json
 import os
+import sys
+import threading
 import warnings
 
 import pytest
 
+from trionlab.cache import ResultCache
 from trionlab.cli import main, run
 
 
@@ -272,6 +275,94 @@ def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("TRIONLAB_CACHE", str(tmp_path / "other"))
     _run(["exciton", "--radius", "0.1", "--model", "1d", "--no-cache"])
     assert not os.path.exists(tmp_path / "other")
+
+
+@pytest.mark.parametrize("blocked", ["", ".tmp"], ids=["entry", "old-temp"])
+def test_cache_write_failure_still_emits_result(blocked, tmp_path, capsys):
+    """A directory where the entry (or the old fixed temp file name) would
+    be written: the result is still printed, with a warning where it could
+    not be cached."""
+    cache = tmp_path / "cache"
+    argv = ["exciton", "--radius", "0.1", "--model", "1d",
+            "--cache-dir", str(cache)]
+    _, a = _run(argv)
+    name = os.listdir(cache)[0]
+    os.remove(cache / name)
+    os.mkdir(cache / (name + blocked))
+    capsys.readouterr()
+    code, b = _run(argv)
+    assert code == 0
+    assert b == a
+    err = capsys.readouterr().err
+    assert ("result not cached" in err) == (blocked == "")
+    assert sorted(os.listdir(cache)) == sorted({name, name + blocked})
+
+
+def test_cache_concurrent_writers_keep_their_own_temp_files(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    """A second writer of the same key finishing between the first one's
+    write and rename leaves the first one's write intact."""
+    cache = ResultCache(str(tmp_path))
+    first = {"metadata": {"writer": 1}, "rows": []}
+    second = {"metadata": {"writer": 2}, "rows": []}
+    replace = os.replace
+
+    def racing_replace(src, dst):
+        monkeypatch.setattr(os, "replace", replace)
+        cache.put("k", second)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    cache.put("k", first)
+    assert cache.get("k") == first
+    assert os.listdir(tmp_path) == ["k.json"]
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_threaded_writers(tmp_path, capsys):
+    """Eight threads writing one key 25 times each: every write lands
+    whole, with no warning and no temp file left."""
+    cache = ResultCache(str(tmp_path))
+    payloads = [{"metadata": {"writer": i}, "rows": [{"n": i}]}
+                for i in range(8)]
+    errors = []
+
+    def write(payload):
+        try:
+            for _ in range(25):
+                cache.put("k", payload)
+        except Exception as exc:    # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=write, args=(p,))
+                   for p in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert cache.get("k") in payloads
+    assert os.listdir(tmp_path) == ["k.json"]
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_dir_that_is_a_file_is_an_error(tmp_path, capsys):
+    path = tmp_path / "not-a-dir"
+    path.write_text("")
+    argv = ["exciton", "--radius", "0.1", "--model", "1d",
+            "--cache-dir", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unusable cache directory: ")
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -319,6 +319,19 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     assert "scipy.optimize" not in names
 
 
+def test_sincorr_tail_fitted_only_off_the_shipped_tables():
+    """The Chebyshev tail of `sincorr_weight` is fitted on first use: not at
+    import, nor by 2D trion and HF solves on the shipped tables, but by
+    the first table fit of another quadrature."""
+    code = ("import trionlab.angular as a, trionlab.solver as s, "
+            "trionlab.hartree_fock as h; "
+            "fits = a._fit_tail.cache_info; n = fits().currsize; "
+            "s.trion_energy(0.1, 0.5); h.scf(0.3); m = fits().currsize; "
+            "s.trion_energy(0.1, 0.5, quad=s.DEFAULT_QUAD.refined()); "
+            "print(n, m, fits().currsize)")
+    assert _imported(["-c", code])[0].split() == ["0", "0", "1"]
+
+
 PUBLIC = {
     "basis": ("AngularSet", "AxialBasis", "BasisSpec", "coulomb_potential",
               "preset_basis", "scale_exponents"),
