@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tightbinding as tb
-from .assembly import assemble_overlap, mixing_weight
-from .basis import (AngularSet, BasisSpec, pair_kernels, preset_basis,
-                    scale_exponents)
+from .assembly import axial_matrices, mixing_weight
+from .basis import pair_kernels, preset_basis, scale_exponents
 from .hartree_fock import hf_binding_energy, scf
 from .quadrature import DEFAULT_QUAD
 from .solver import TrionResult, exciton_ground, trion_energy
@@ -30,24 +29,22 @@ class ProbabilityGrid:
     method: str
 
 
-def _angular_moment(coeffs, basis):
-    """M[l, l'] = sum over axial indices of S_axial c c'."""
-    S_ax = assemble_overlap(BasisSpec(basis.axial, AngularSet.CONSTANT, "1d"))
-    cm = coeffs.reshape(len(S_ax), basis.angular.size)
-    return cm.T @ S_ax @ cm
+def _density(M, phis, measure):
+    """Density sum_{l,l'} M[l,l'] phi_l phi_l' / measure from moments M."""
+    L = len(M)
+    return sum(M[l, lp] * phis[l] * phis[lp]
+               for l in range(L) for lp in range(L)) / measure
 
 
 def trion_probability(spectrum, basis, grid_size=201, r=None):
     """Angular ground-state density P(theta1, theta2), integral 1."""
-    c = spectrum.coefficients[:, 0]
-    M = _angular_moment(c, basis)
+    S_ax = axial_matrices(basis)[0]
+    cm = spectrum.coefficients[:, 0].reshape(len(S_ax), basis.angular.size)
     th = np.linspace(-np.pi, np.pi, grid_size)
     t1, t2 = np.meshgrid(th, th, indexing="ij")
-    L = basis.angular.size
     phis = [np.ones_like(t1), np.abs(np.sin(t1 / 2.0)),
-            np.abs(np.sin(t2 / 2.0)), np.abs(np.sin((t1 - t2) / 2.0))][:L]
-    P = sum(M[l, lp] * phis[l] * phis[lp]
-            for l in range(L) for lp in range(L)) / (4.0 * np.pi ** 2)
+            np.abs(np.sin(t2 / 2.0)), np.abs(np.sin((t1 - t2) / 2.0))]
+    P = _density(cm.T @ S_ax @ cm, phis, 4.0 * np.pi ** 2)
     return ProbabilityGrid(th, P, r, basis.model, "full")
 
 
@@ -57,13 +54,10 @@ def exciton_probability(spectrum, basis, grid_size=201, method="full",
     c = np.asarray(spectrum if isinstance(spectrum, np.ndarray)
                    else spectrum.coefficients[:, 0], float)
     Sax, _ = pair_kernels(basis.axial.alphas_i)
-    L = min(basis.angular.size, 2)
-    cm = c.reshape(len(Sax), L)
-    M = np.einsum("iI,il,Im->lm", Sax, cm, cm)
+    cm = c.reshape(len(Sax), min(basis.angular.size, 2))
     th = np.linspace(-np.pi, np.pi, grid_size)
-    phis = [np.ones_like(th), np.abs(np.sin(th / 2.0))][:L]
-    P = sum(M[l, lp] * phis[l] * phis[lp]
-            for l in range(L) for lp in range(L)) / (2.0 * np.pi)
+    phis = [np.ones_like(th), np.abs(np.sin(th / 2.0))]
+    P = _density(np.einsum("iI,il,Im->lm", Sax, cm, cm), phis, 2.0 * np.pi)
     return ProbabilityGrid(th, P, r, basis.model, method)
 
 

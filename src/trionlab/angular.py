@@ -134,18 +134,23 @@ def keeps_labels(channel, L):
     return max(CHANNEL_LABELS[channel][:L]) < L
 
 
-def exchange_permutation(basis):
-    """Index map P of exchanging the two identical carriers on the
-    flattened trion basis: basis function a = (i, j, k, l) goes to
-    Pa = (j, i, k, m[l]) with m = CHANNEL_LABELS[1].  None unless the
-    basis has that symmetry: alphas_i == alphas_j and m keeps the
-    angular set.  P is an involution."""
+def exchange_factors(basis):
+    """(P_ax, m): exchanging the identical carriers takes axial function
+    (i, j, k) to P_ax of it, (j, i, k), and label l to m[l], with m =
+    CHANNEL_LABELS[1].  None unless alphas_i == alphas_j and m keeps L."""
     ax, L = basis.axial, basis.angular.size
     if not (np.array_equal(ax.alphas_i, ax.alphas_j) and keeps_labels(1, L)):
         return None
     n, nk = len(ax.alphas_i), len(ax.alphas_k)
-    a = np.arange(n * n * nk * L).reshape(n, n, nk, L)
-    return a.transpose(1, 0, 2, 3)[..., list(CHANNEL_LABELS[1][:L])].ravel()
+    a = np.arange(n * n * nk).reshape(n, n, nk)
+    return a.transpose(1, 0, 2).ravel(), np.array(CHANNEL_LABELS[1][:L])
+
+
+def exchange_permutation(basis):
+    """P = P_ax (x) m on the flattened trion basis, (i, j, k, l) ->
+    (j, i, k, m[l]); None without the symmetry."""
+    f = exchange_factors(basis)
+    return None if f is None else (f[0][:, None] * len(f[1]) + f[1]).ravel()
 
 
 def pair_entry(channel, l, lp):

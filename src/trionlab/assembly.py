@@ -43,13 +43,6 @@ def _axial_arrays(basis):
                  for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k))
 
 
-@lru_cache(maxsize=1)   # a trion family reads one basis's kernels 3 times
-def _axial_kernels(basis):
-    """`axial_kernels` on the axes (i, i', j, j', k, k'), in that order."""
-    ai, aj, ak = _axial_arrays(basis)
-    return axial_kernels(*np.ix_(ai, ai, aj, aj, ak, ak))
-
-
 def _flatten(T):
     """(i,i',j,j',k,k',l,l') tensor -> (N, N) matrix, row index (i,j,k,l)."""
     N = int(np.prod(T.shape[::2]))
@@ -57,11 +50,23 @@ def _flatten(T):
     return np.ascontiguousarray(M.reshape(N, N))
 
 
+@lru_cache(maxsize=1)
+def axial_matrices(basis):
+    """Axial factors (S, K, KM) of the trion matrices, row index (i, j, k):
+    the overlap, K1 + K2 and the mixed form of `axial_kernels`.  The full
+    matrices are their Kronecker products with the angular tables.  The
+    cache rarely hits, but the factors it holds keep glibc from trimming
+    the heap after each build (a 1D trion build re-faults 1.3 MB without)."""
+    i, j, k, ip, jp, kp = np.ix_(*_axial_arrays(basis) * 2)
+    S, K1, K2, KM = axial_kernels(i, ip, j, jp, k, kp)
+    n = i.size * j.size * k.size
+    return S.reshape(n, n), (K1 + K2).reshape(n, n), KM.reshape(n, n)
+
+
 def assemble_overlap(basis):
-    """Full overlap matrix S (axial Gaussian overlap x angular table)."""
-    ST = _axial_kernels(basis)[0]
+    """Full overlap matrix S = S_ax (x) ANGULAR_OVERLAP."""
     L = basis.angular.size
-    return _flatten(ST[..., None, None] * ANGULAR_OVERLAP[:L, :L])
+    return np.kron(axial_matrices(basis)[0], ANGULAR_OVERLAP[:L, :L])
 
 
 def assemble_kinetic(basis, sigma, r, charge="-"):
@@ -69,12 +74,10 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
     mass-fraction-weighted mixed terms."""
     check_inputs(r)
     w = mixing_weight(sigma, charge)
-    ST, KT1, KT2, KTM = _axial_kernels(basis)
+    S, K, KM = axial_matrices(basis)
     L = basis.angular.size
     ang = (ANGULAR_KINETIC + w * ANGULAR_KINETIC_MIXED)[:L, :L] / r ** 2
-    K = ST[..., None, None] * ang \
-        + (KT1 + KT2 + w * KTM)[..., None, None] * ANGULAR_OVERLAP[:L, :L]
-    return _flatten(K)
+    return np.kron(S, ang) + np.kron(K + w * KM, ANGULAR_OVERLAP[:L, :L])
 
 
 def _unique_pairs(al):
@@ -119,7 +122,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     so the kernels are evaluated once per unordered pair combination and
     scattered to the full matrix.  Channel 1 is channel 0 with the first
     two pair axes swapped when the basis is exchange symmetric
-    (`angular.exchange_permutation`); its t grid is then bit-identical
+    (`angular.exchange_factors`); its t grid is then bit-identical
     and so is U.  Channel 2 is minus channel 0 with the first and third
     axes swapped when alphas_i == alphas_k; that reuse rounds the
     pair-sum product D in another order, so U moves in the last bits (up
@@ -134,7 +137,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     U = [_channel(0, Au, Bu, Cu, r, L, quad, exps)]
     swap_ik = np.array_equal(ai, ak) and angular.keeps_labels(2, L)
     for channel, reuse, axes, sgn in (
-            (1, angular.exchange_permutation(basis) is not None,
+            (1, angular.exchange_factors(basis) is not None,
              (1, 0, 2, 3, 4), 1.0),
             (2, swap_ik, (2, 1, 0, 3, 4), -1.0)):
         m = np.array(angular.CHANNEL_LABELS[channel][:L])

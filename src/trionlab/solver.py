@@ -10,21 +10,21 @@ of that family.  Calls without a basis use the preset families, cached
 per process and quadrature (`preset_family`); an explicit basis gets a
 family of its own for each call.
 
-The trion problem is the singlet one.  For a trion basis that is
-symmetric under exchange of its two identical carriers
-(`angular.exchange_permutation`) the family keeps only the retained
-modes of the exchange-symmetric (singlet) sector, which the Hamiltonian
-does not couple to the antisymmetric (triplet) one.
+The trion problem is the singlet one.  For a trion basis symmetric under
+exchange of its two identical carriers (`angular.exchange_factors`) the
+family keeps only the retained modes of the exchange-symmetric (singlet)
+sector, which the Hamiltonian does not couple to the triplet one.
 """
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import exchange_permutation
-from .assembly import (assemble_exciton, assemble_kinetic, assemble_overlap,
-                       assemble_potential, mixing_weight, repulsion_tensor)
-from .basis import (AngularSet, BasisSpec, check_inputs, preset_basis,
+from .angular import exchange_factors
+from .assembly import (assemble_exciton, assemble_potential, axial_matrices,
+                       mixing_weight, repulsion_tensor)
+from .basis import (ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, ANGULAR_OVERLAP,
+                    BasisSpec, check_inputs, pair_kernels, preset_basis,
                     scale_exponents)
 from .quadrature import DEFAULT_QUAD
 
@@ -52,31 +52,43 @@ class TrionResult:
     r: float
 
 
-def _orthogonalizer(S, T=None):
-    """Canonical orthogonalization X of S (X^T S X = 1) within the span
-    of the orthonormal columns of T, a subspace that S leaves invariant
-    (by default the whole space): X = T V / sqrt(e) from the eigenpairs
-    (e, V) of T^T S T.  Overlap modes with eigenvalue below DROP_TOL
-    times the largest are discarded to tame near-linear-dependence.
-    """
-    e, v = np.linalg.eigh(S if T is None else T.T @ S @ T)
-    keep = e > DROP_TOL * e.max(initial=-np.inf)
-    X = v[:, keep] / np.sqrt(e[keep])
-    if X.shape[1] == 0:
+def _sectors(M, perm, signs=(1.0, -1.0)):
+    """{sign: (e, V)}, the eigenpairs of M in each non-empty sector of the
+    involution perm with a sign in `signs`: (e_a + sign e_perm[a])/sqrt(2)
+    for a < perm[a], and e_a = e_perm[a] for +1.  Without perm, M is +1."""
+    if perm is None:
+        return {1.0: np.linalg.eigh(M)}
+    out, a = {}, np.arange(len(perm))
+    for sign in signs:
+        i = a[(a < perm) | ((a == perm) & (sign > 0))]
+        if len(i):
+            j, c = perm[i], np.where(i == perm[i], 0.5, np.sqrt(0.5))[:, None]
+            G = M[:, i] + sign * M[:, j]
+            e, v = np.linalg.eigh(c * (G[i] + sign * G[j]) * c.T)
+            V = np.zeros((len(M), len(e)))
+            V[i] = c * v
+            V[j] += sign * c * v
+            out[sign] = e, V
+    return out
+
+
+def _orthogonalizer(s_ax, ang, p_ax=None, m=None):
+    """Canonical orthogonalization X0 of S = s_ax (x) ang (X0^T S X0 = 1)
+    from the factors' eigenpairs (e, u), (f, w): S has u (x) w with e f.
+    With the exchange involutions p_ax and m, only the products of two
+    even or two odd modes (kept by P = p_ax (x) m); products below DROP_TOL
+    times the largest are dropped.  Returns (X0, A, W): X0[:, c] is
+    A[:, c] (x) W[:, c], so X0^T (M (x) N) X0 = A^T M A * W^T N W."""
+    ang = _sectors(ang, m)
+    ax = _sectors(s_ax, p_ax, list(ang))
+    prods = {s: np.outer(ax[s][0], ang[s][0]) for s in ax}
+    top = DROP_TOL * max(P.max(initial=-np.inf) for P in prods.values())
+    kept = [(ax[s], ang[s], np.nonzero(P > top)) for s, P in prods.items()]
+    A = np.hstack([U[:, p] / np.sqrt(e[p]) for (e, U), _, (p, _) in kept])
+    W = np.hstack([V[:, q] / np.sqrt(f[q]) for _, (f, V), (_, q) in kept])
+    if A.shape[1] == 0:
         raise ValueError("overlap matrix has no retained modes")
-    return X if T is None else T @ X
-
-
-def _symmetric_sector(P):
-    """Orthonormal basis of the functions that the involution P keeps:
-    (e_a + e_Pa)/sqrt(2) for each pair a < Pa, then e_a for each a = Pa."""
-    a = np.arange(len(P))
-    pairs, fixed = a[a < P], a[a == P]
-    T = np.zeros((len(P), len(pairs) + len(fixed)))
-    cols = np.arange(len(pairs))
-    T[pairs, cols] = T[P[pairs], cols] = np.sqrt(0.5)
-    T[fixed, len(pairs) + np.arange(len(fixed))] = 1.0
-    return T
+    return (A[:, None] * W).reshape(-1, A.shape[1]), A, W
 
 
 def solve_generalized(H, S):
@@ -90,7 +102,7 @@ def solve_generalized(H, S):
         raise ValueError("H and S must be square matrices of equal shape")
     if not (np.allclose(H, H.T) and np.allclose(S, S.T)):
         raise ValueError("H and S must be symmetric")
-    X = _orthogonalizer(S)
+    X = _orthogonalizer(S, np.ones((1, 1)))[0]
     e, c = np.linalg.eigh(X.T @ H @ X)
     return Spectrum(e, X @ c, X.shape[1])
 
@@ -116,7 +128,8 @@ class Family:
     For a trion basis with exchange symmetry P, X0 spans the exchange-
     symmetric (singlet) sector alone: P commutes with S0, Ka, Km and U0,
     so the antisymmetric (triplet) sector, which holds no singlet state,
-    decouples.  Any other basis keeps every retained mode of S0.
+    decouples.  Any other basis keeps every retained mode of S0.  Ka and
+    Km are reduced factor by factor (`assembly.axial_matrices`), U0 whole.
     """
     basis: BasisSpec        # the basis at r0
     X: np.ndarray           # X0, from `_orthogonalizer`
@@ -128,23 +141,28 @@ class Family:
 def family(problem, basis, quad):
     """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
-    V4 = T = Vj = Vk = None
+    V4 = Vj = Vk = None
     if problem == "trion":
-        S = assemble_overlap(basis)
-        Ka = assemble_kinetic(basis, 0.0, r0)
-        parts = (Ka, assemble_kinetic(basis, 1.0, r0) - Ka,
-                 assemble_potential(basis, r0, quad))
-        P = exchange_permutation(basis)
-        T = None if P is None else _symmetric_sector(P)
+        L = basis.angular.size
+        S, K, KM, U = checked = (*axial_matrices(basis),
+                                 assemble_potential(basis, r0, quad))
+        X, A, W = _orthogonalizer(S, ANGULAR_OVERLAP[:L, :L],
+                                  *exchange_factors(basis) or ())
+        o, t, tm = (W.T @ M[:L, :L] @ W for M in (
+            ANGULAR_OVERLAP, ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED))
+        s = A.T @ S @ A / r0 ** 2 if L > 1 else 0.0   # 1D: t = tm = 0
+        reduced = (s * t + (A.T @ K @ A) * o, s * tm + (A.T @ KM @ A) * o,
+                   X.T @ U @ X)
     else:
+        L = min(basis.angular.size, 2)   # {1} or {1, |sin(theta/2)|}
         t = assemble_exciton(basis, r0, quad)
-        S, parts = t.S, (t.K, t.U)
+        checked = (pair_kernels(basis.axial.alphas_i)[0], t.K, t.U)
+        X = _orthogonalizer(checked[0], ANGULAR_OVERLAP[:L, :L])[0]
+        reduced = (X.T @ t.K @ X, X.T @ t.U @ X)
         if problem == "hf":
-            n_ang = 1 if basis.angular is AngularSet.CONSTANT else 2
-            V4 = repulsion_tensor(basis.axial.alphas_i, r0, n_ang, quad)
-    if not all(np.array_equal(M, M.T) for M in (S, *parts)):
+            V4 = repulsion_tensor(basis.axial.alphas_i, r0, L, quad)
+    if not all(np.array_equal(M, M.T) for M in checked):
         raise ValueError(f"{problem} matrices must be exactly symmetric")
-    X = _orthogonalizer(S, T)
     if V4 is not None:
         V4 = np.einsum("abcd,aA,bB,cC,dD->ABCD", V4, X, X, X, X, optimize=True)
         V4 = V4 + V4.transpose(1, 0, 2, 3)    # average over a <-> b,
@@ -152,7 +170,7 @@ def family(problem, basis, quad):
         V4 = (V4 + V4.transpose(2, 3, 0, 1)) / 8.0
         m2 = X.shape[1] ** 2
         Vj, Vk = V4.reshape(m2, m2), V4.transpose(0, 2, 1, 3).reshape(m2, m2)
-    fam = Family(basis, X, tuple(X.T @ M @ X for M in parts), Vj, Vk)
+    fam = Family(basis, X, reduced, Vj, Vk)
     for M in (X, Vj, Vk, *fam.reduced):
         if M is not None:
             M.flags.writeable = False   # a preset family is shared

@@ -10,7 +10,10 @@ from oracle_utils import assemble_trion, brute_repulsion_element, \
 from trionlab import AngularSet, AxialBasis, BasisSpec, angular, \
     preset_basis, scale_exponents
 from trionlab.assembly import assemble_exciton, assemble_kinetic, \
-    assemble_overlap, assemble_potential, mixing_weight, repulsion_tensor
+    assemble_overlap, assemble_potential, axial_matrices, mixing_weight, \
+    repulsion_tensor
+from trionlab.basis import ANGULAR_KINETIC, ANGULAR_KINETIC_MIXED, \
+    ANGULAR_OVERLAP, axial_kernels
 from trionlab.quadrature import DEFAULT_QUAD, outer_rule
 
 SMALL = BasisSpec(AxialBasis((0.3, 2.1), (0.45, 1.7), (0.09, 1.2)),
@@ -64,6 +67,49 @@ def test_radius_validation():
         assemble_potential(SMALL, -0.1)
     with pytest.raises(ValueError):
         assemble_kinetic(SMALL, 0.5, 0.0)
+
+
+def _six_axis_matrices(basis, sigma, r, charge):
+    """Overlap and kinetic matrices from `axial_kernels` on the axes
+    (i, i', j, j', k, k') times the angular tables on (l, l'), flattened
+    to row index (i, j, k, l): no Kronecker product."""
+    ax, L = basis.axial, basis.angular.size
+    ai, aj, ak = (np.asarray(a, float)
+                  for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k))
+    S, K1, K2, KM = axial_kernels(*np.ix_(ai, ai, aj, aj, ak, ak))
+    w = mixing_weight(sigma, charge)
+    ang = (ANGULAR_KINETIC + w * ANGULAR_KINETIC_MIXED)[:L, :L] / r ** 2
+    O = ANGULAR_OVERLAP[:L, :L]
+    N = basis.size
+
+    def flat(T):
+        return T.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(N, N)
+    return (flat(S[..., None, None] * O),
+            flat(S[..., None, None] * ang
+                 + (K1 + K2 + w * KM)[..., None, None] * O))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BASES))
+def test_full_matrices_are_kronecker_products_of_axial_factors(name):
+    """`axial_matrices` holds the closed forms entry by entry (row index
+    (i, j, k)), and the full overlap and kinetic matrices equal the
+    six-axis tensor form of the same kernels bit for bit."""
+    basis = KERNEL_BASES[name]
+    ax = basis.axial
+    S, K, KM = axial_matrices(basis)
+    rows = [(i, j, k) for i in ax.alphas_i for j in ax.alphas_j
+            for k in ax.alphas_k]
+    for a, (i, j, k) in enumerate(rows):
+        for b, (ip, jp, kp) in enumerate(rows):
+            s, k1, k2, km = axial_kernels(i, ip, j, jp, k, kp)
+            assert S[a, b] == s
+            assert K[a, b] == pytest.approx(k1 + k2, rel=1e-15, abs=0)
+            assert KM[a, b] == pytest.approx(km, rel=1e-15, abs=0)
+    for sigma, r, charge in ((0.0, 0.1, "-"), (0.93, 0.05, "+")):
+        want_S, want_K = _six_axis_matrices(basis, sigma, r, charge)
+        np.testing.assert_array_equal(assemble_overlap(basis), want_S)
+        np.testing.assert_array_equal(
+            assemble_kinetic(basis, sigma, r, charge), want_K)
 
 
 def test_exchange_symmetry_of_matrices():

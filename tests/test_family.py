@@ -13,15 +13,18 @@ import trionlab
 import trionlab.solver as solver
 from oracle_utils import (assemble_trion, exchange_sectors, general_exciton,
                           general_scf, general_trion)
-from trionlab.angular import exchange_permutation
+from trionlab import assembly
+from trionlab.angular import exchange_factors, exchange_permutation
 from trionlab.analysis import (binding_both_charges, exciton_probability,
                                hf_pair_probability, sweep_radius, sweep_sigma,
                                trion_probability)
 from trionlab.assembly import (assemble_exciton, assemble_kinetic,
                                assemble_overlap, assemble_potential,
-                               mixing_weight, repulsion_tensor)
-from trionlab.basis import (AngularSet, AxialBasis, BasisSpec,
-                            coulomb_potential, preset_basis, scale_exponents)
+                               axial_matrices, mixing_weight, repulsion_tensor)
+from trionlab.basis import (ANGULAR_OVERLAP, AngularSet, AxialBasis,
+                            BasisSpec, axial_kernels, coulomb_potential,
+                            preset_basis, preset_groups, scale_exponents,
+                            tied_basis)
 from trionlab.cli import main
 from trionlab.hartree_fock import hf_binding_energy, scf
 from trionlab.optimizer import optimize
@@ -236,6 +239,111 @@ def test_explicit_basis_matches_general_path(r0, r, model):
         general_exciton(r, exciton)[0].energies[0], abs=CONTRACT_TOL)
     hf = _detuned("hf" + model, r0)
     _check_scf(scf(r, model, hf), r, hf)
+
+
+KRONECKER_BASES = {
+    **{kind: preset_basis(kind) for kind in (
+        "trion1d", "trion2d", "exciton1d", "exciton2d", "hf1d", "hf2d")},
+    "unequal_ij": UNEQUAL_IJ, "two_labels": TWO_LABELS,
+    **{f"{kind}_detuned_r0={r0}": _detuned(kind, r0)
+       for kind in ("trion1d", "trion2d", "exciton2d", "hf2d")
+       for r0 in (0.1, 0.2)},
+}
+
+
+@pytest.mark.parametrize("name", list(KRONECKER_BASES))
+def test_overlap_and_exchange_are_kronecker_products(name):
+    """The identities the family rests on: S0 = S_ax (x) O bit for bit,
+    with S_ax = pi/sqrt(D) entry by entry (row index (i, j, k)), and the
+    exchange P = P_ax (x) m, both built here by loops."""
+    basis = KRONECKER_BASES[name]
+    ax, L = basis.axial, basis.angular.size
+    rows = [(i, j, k) for i in range(len(ax.alphas_i))
+            for j in range(len(ax.alphas_j)) for k in range(len(ax.alphas_k))]
+    S_ax = np.array([[axial_kernels(
+        ax.alphas_i[i], ax.alphas_i[ip], ax.alphas_j[j], ax.alphas_j[jp],
+        ax.alphas_k[k], ax.alphas_k[kp])[0] for ip, jp, kp in rows]
+        for i, j, k in rows])
+    np.testing.assert_array_equal(axial_matrices(basis)[0], S_ax)
+    np.testing.assert_array_equal(assemble_overlap(basis),
+                                  np.kron(S_ax, ANGULAR_OVERLAP[:L, :L]))
+    P = exchange_permutation(basis)
+    if tuple(ax.alphas_i) != tuple(ax.alphas_j) or L == 2:
+        assert P is None and exchange_factors(basis) is None
+        return
+    p_ax = np.array([rows.index((j, i, k)) for i, j, k in rows])
+    m = np.array((0, 2, 1, 3)[:L])
+    np.testing.assert_array_equal(P, [p_ax[a] * L + m[l]
+                                      for a in range(len(rows))
+                                      for l in range(L)])
+    got_p_ax, got_m = exchange_factors(basis)
+    np.testing.assert_array_equal(got_p_ax, p_ax)
+    np.testing.assert_array_equal(got_m, m)
+
+
+def _random_trion(model, rng):
+    """A preset trion basis with every tied exponent moved by a factor
+    drawn from [0.9, 1.1]."""
+    return tied_basis("trion", model, tuple(
+        tuple(a * rng.uniform(0.9, 1.1) for a in group)
+        for group in preset_groups("trion" + model)))
+
+
+def _reordered_reference(r, sigma, charge, basis, rng):
+    """Median ground energy of the solve assembled at r over the given
+    order of the basis functions and two random reorderings.  Near-
+    dependent random bases move one solve by up to 3e-10 Ry* with the
+    order alone; the median of three is within 4e-11 of the family."""
+    t = assemble_trion(scale_exponents(basis, r), r, sigma, charge)
+    H, orders = t.K + t.U, [np.arange(len(t.S))]
+    orders += [rng.permutation(len(t.S)) for _ in range(2)]
+    return np.median([solve_generalized(H[np.ix_(p, p)],
+                                        t.S[np.ix_(p, p)]).energies[0]
+                      for p in orders])
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_random_explicit_trion_bases_match_general_path(model):
+    """20 seeded random exchange-symmetric bases per model: the family
+    keeps as many singlet modes as the oracle's symmetric sector, its X0
+    is exchange symmetric bit for bit, and E_T and the lowest singlet
+    energy match the solve assembled at r = 0.1 and 0.3."""
+    rng, orders = np.random.default_rng(19), np.random.default_rng(20)
+    for n in range(20):
+        basis = _random_trion(model, rng)
+        fam = solver.family("trion", basis, DEFAULT_QUAD)
+        np.testing.assert_array_equal(fam.X[exchange_permutation(basis)],
+                                      fam.X)
+        dim = _singlet_dim(basis)
+        for r, (sigma, charge) in ((0.1, POINTS[n % 5]),
+                                   (0.3, POINTS[(n + 2) % 5])):
+            ref = _reordered_reference(r, sigma, charge, basis, orders)
+            assert trion_energy(r, sigma, charge, model, basis) == \
+                pytest.approx(ref, abs=CONTRACT_TOL)
+            spec, _ = trion_spectrum(r, sigma, charge, model, basis)
+            assert spec.retained_dim == dim
+            assert spec.energies[0] == pytest.approx(ref, abs=CONTRACT_TOL)
+
+
+def test_explicit_trion_family_builds_from_the_factors(monkeypatch):
+    """An explicit trion2d call assembles no full overlap or kinetic
+    matrix, and no eigh of the family sees more than the 40 modes of the
+    axial factor's even sector (the angular table's sectors have 3 and 1,
+    the axial odd sector 24)."""
+    calls, shapes, eigh = [], [], np.linalg.eigh
+
+    def counted(M):
+        shapes.append(np.shape(M))
+        return eigh(M)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for name in ("assemble_overlap", "assemble_kinetic"):
+        def refused(*args, name=name):
+            calls.append(name)
+        for module in (assembly, solver):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    trion_energy(0.1, 0.5, "-", "2d", _detuned("trion2d", 0.1))
+    assert calls == []
+    assert sorted(shapes) == [(1, 1), (3, 3), (24, 24), (40, 40)]
 
 
 def test_explicit_basis_assembles_once_and_caches_nothing(monkeypatch):
