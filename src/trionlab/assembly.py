@@ -28,13 +28,15 @@ def mixing_weight(sigma, charge):
     the mass ratio of the identical carriers to the third: sigma for charge
     '-', 1/sigma for '+', so S+ at sigma is S- at 1/sigma."""
     check_inputs(sigma=sigma)
-    if charge == "+":
-        if sigma == 0:
-            raise ValueError("positive trion requires sigma > 0")
-        sigma = 1.0 / sigma
-    elif charge != "-":
+    if charge not in ("-", "+"):
         raise ValueError(f"unknown charge {charge!r}")
-    return 2.0 * sigma / (1.0 + sigma)
+    if charge == "+" and sigma == 0:
+        raise ValueError("positive trion requires sigma > 0")
+    rho = 1.0 / sigma if charge == "+" else sigma
+    w = 2.0 * rho / (1.0 + rho)
+    if not np.isfinite(w):
+        raise ValueError(f"sigma={sigma} overflows the mixing weight: {w}")
+    return w
 
 
 def _axial_arrays(basis):

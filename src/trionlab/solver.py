@@ -14,6 +14,9 @@ The trion problem is the singlet one.  For a trion basis symmetric under
 exchange of its two identical carriers (`angular.exchange_factors`) the
 family keeps only the retained modes of the exchange-symmetric (singlet)
 sector, which the Hamiltonian does not couple to the triplet one.
+
+Energy-only calls solve for the lowest eigenvalue alone: `trion_energy`
+by one dsyevr call (`_lowest`), `exciton_ground` by numpy's eigh.
 """
 from dataclasses import dataclass
 from functools import lru_cache
@@ -130,6 +133,12 @@ class Family:
     so the antisymmetric (triplet) sector, which holds no singlet state,
     decouples.  Any other basis keeps every retained mode of S0.  Ka and
     Km are reduced factor by factor (`assembly.axial_matrices`), U0 whole.
+
+    The assembled factors (S_ax, K_ax, KM_ax, U0; s_ax, K0, U0) are
+    symmetric bit for bit, and `family` checks it.  `reduced` is
+    symmetric only to rounding, max |M - M^T| / max |M|: trion1d U0
+    1.5e-9, trion2d U0 6.2e-10, Ka and Km <= 8.1e-11, exciton and hf
+    <= 1.1e-14.  Every eigensolve reads its lower triangle.
     """
     basis: BasisSpec        # the basis at r0
     X: np.ndarray           # X0, from `_orthogonalizer`
@@ -197,26 +206,43 @@ def check_bound(e, r):
 
 
 def family_at(problem, model, r, basis, quad):
-    """(family, x = r/r0, bound) of one point; r is checked first.
+    """(family, x = r/r0, bound) of one point; r is checked, x finite.
 
     Without a basis this is the cached preset family of `model`, for
     r >= R_MIN, and bound(e) is `check_bound(e, r)`.  An explicit basis
     gets an uncached family, is not bounded, and bound(e) returns e.
     """
     check_inputs(r)
-    if basis is not None:
-        return family(problem, basis, quad), r / basis.r0, lambda e: e
-    if r < R_MIN:
+    if basis is None and r < R_MIN:
         raise ValueError(f"radius r={r} is below R_MIN={R_MIN}, the "
                          "smallest radius the preset bases resolve")
-    fam = preset_family(problem + model, quad)
-    return fam, r / fam.basis.r0, lambda e: check_bound(e, r)
+    fam = (preset_family(problem + model, quad) if basis is None
+           else family(problem, basis, quad))
+    x = r / fam.basis.r0
+    if not np.isfinite(x):
+        raise ValueError(f"radius r={r} overflows r/r0 (r0={fam.basis.r0})")
+    return fam, x, ((lambda e: check_bound(e, r)) if basis is None
+                    else (lambda e: e))
+
+
+@lru_cache(maxsize=None)
+def _syevr(n):
+    """dsyevr and the workspace sizes scipy's eigh queries, once per n."""
+    from scipy.linalg import get_lapack_funcs   # off the package import path
+    drv, query = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    lwork, liwork, _ = query(n=n, lower=1)
+    return drv, int(lwork), int(liwork)
 
 
 def _lowest(h):
-    """Lowest eigenvalue of a symmetric matrix."""
-    from scipy.linalg import eigh   # off the import path of the package
-    return float(eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0])
+    """Lowest eigenvalue of a symmetric matrix (lower triangle): the value
+    of scipy's eigh with subset_by_index=(0, 0), without its wrapper."""
+    drv, lwork, liwork = _syevr(len(h))
+    w, _, _, _, info = drv(h, compute_v=0, range="I", il=1, iu=1, lower=1,
+                           lwork=lwork, liwork=liwork)
+    if info != 0 or not np.isfinite(w[0]):
+        raise ValueError(f"eigensolve failed: dsyevr info={info}, e={w[0]}")
+    return float(w[0])
 
 
 def _spectrum(fam, h, x, p, bound, r):
@@ -247,9 +273,11 @@ def exciton_spectrum(r, model="2d", basis=None, quad=DEFAULT_QUAD):
 
 
 def exciton_ground(r, model="2d", basis=None, quad=DEFAULT_QUAD):
-    """Raw (negative) exciton ground energy in Ry*."""
-    spec, _ = exciton_spectrum(r, model, basis, quad)
-    return float(spec.energies[0])
+    """Raw (negative) exciton ground energy in Ry*: `exciton_spectrum`'s
+    lowest eigenvalue alone, by numpy (exciton and hf load no scipy)."""
+    fam, x, bound = family_at("exciton", model, r, basis, quad)
+    k, u = fam.reduced
+    return float(bound(np.linalg.eigh(k / x + u)[0][0] / x))
 
 
 def exciton_energy(r, model="2d", basis=None, quad=DEFAULT_QUAD):

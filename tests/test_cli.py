@@ -113,6 +113,12 @@ BAD_INPUTS = [
      "species range needs finite r_min <= r_max, got r_min 5.0, r_max 3.0"),
     (["optimize", "--problem", "exciton", "--model", "1d", "--max-steps=-1"],
      "max_steps must be >= 0, got -1"),
+    (["trion", "--radius", "0.1", "--sigma", "1e308"],
+     "sigma=1e+308 overflows the mixing weight: inf"),
+    (["trion", "--radius", "0.1", "--sigma", "1e-310", "--charge", "+"],
+     "sigma=1e-310 overflows the mixing weight: nan"),
+    (["trion", "--radius", "1e308"],
+     "radius r=1e+308 overflows r/r0 (r0=0.1)"),
 ]
 
 

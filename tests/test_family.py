@@ -49,10 +49,11 @@ def _check_scf(state, r, basis):
 
 
 @pytest.mark.parametrize("model", ["1d", "2d"])
-@pytest.mark.parametrize("r", [0.02, 0.084, 0.3])
+@pytest.mark.parametrize("r", [0.02, 0.084, 0.3, 0.6, 0.8, 1.0, 1.2])
 def test_family_matches_general_path(r, model):
     """Preset calls, and one call with the preset passed as an explicit
-    basis, against the preset assembled and solved at r."""
+    basis, against the preset assembled and solved at r, also above the
+    presets' range (r0 = 0.1)."""
     trion = preset_basis("trion" + model)
     for sigma, charge in POINTS:
         ref = general_trion(r, sigma, charge, trion)[0].energies[0]
@@ -169,9 +170,68 @@ def test_trion_energy_diagonalizes_the_singlet_sector_alone(monkeypatch):
         assert fam.X.shape[1] == dim == _singlet_dim(fam.basis)
 
 
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_lowest_is_scipy_eigh_bit_for_bit(model):
+    """`_lowest` returns the value of scipy's eigh in index range (0, 0)
+    bit for bit: the preset blocks on the contract grid, and in 2D the
+    family of a basis without exchange symmetry."""
+    from scipy.linalg import eigh
+    points = [(r, s, c, None) for r in (0.02, 0.084, 0.3) for s, c in POINTS]
+    if model == "2d":
+        points += [(0.05, 0.7, "-", UNEQUAL_IJ), (0.2, 0.93, "+", UNEQUAL_IJ)]
+    for r, sigma, charge, basis in points:
+        h = solver._trion(r, sigma, charge, model, basis, DEFAULT_QUAD)[3]
+        want = eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0]
+        assert solver._lowest(h) == want, (r, sigma, charge)
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_exciton_ground_is_the_spectrum_ground_bit_for_bit(model):
+    """The eigenvalue-only exciton solve equals the ground energy of
+    `exciton_spectrum` bit for bit, for the preset and explicit bases."""
+    bases = [None, preset_basis("exciton" + model),
+             _detuned("exciton" + model, 0.2)]
+    for r in (0.02, 0.084, 0.3, 1.0):
+        for basis in bases:
+            spec, _ = exciton_spectrum(r, model, basis)
+            assert exciton_ground(r, model, basis) == spec.energies[0]
+
+
+def test_lowest_queries_the_workspace_once_per_dimension(monkeypatch):
+    """The dsyevr workspace is queried once for each matrix size and
+    reused by every later solve of that size."""
+    import scipy.linalg
+    sizes, get = [], scipy.linalg.get_lapack_funcs
+
+    def counted(names, *args, **kwargs):
+        drv, query = get(names, *args, **kwargs)
+        return drv, lambda n, **kw: sizes.append(n) or query(n=n, **kw)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    solver._syevr.cache_clear()
+    try:
+        for r in (0.05, 0.1, 0.2):
+            for model in ("2d", "1d"):
+                binding_energy(r, 0.5, "-", model)
+                trion_energy(r, 0.93, "+", model)
+        assert sizes == [138, 66]
+    finally:
+        solver._syevr.cache_clear()
+
+
+@pytest.mark.parametrize("h", [
+    np.where(np.eye(4) == 0, 0.5, np.nan), np.diag([1.0, np.inf, 2.0, 3.0]),
+    np.full((4, 4), -1e308)], ids=["nan", "inf", "overflow"])
+def test_lowest_refuses_non_finite_results(h):
+    """A NaN or inf entry (dsyevr info 4) or an eigenvalue that overflows
+    (info 0, -inf) raises instead of returning a number."""
+    with pytest.raises(ValueError, match="eigensolve failed"):
+        solver._lowest(h)
+
+
 def test_family_refuses_matrices_not_exactly_symmetric(monkeypatch):
-    """The assembly builds every family matrix symmetric bit for bit, so
-    a part off by 1e-14 of its size across the diagonal is refused."""
+    """The assembly builds every assembled factor of a family symmetric
+    bit for bit, so a part off by 1e-14 of its size across the diagonal
+    is refused."""
     def skewed(basis, r, quad):
         U = assemble_potential(basis, r, quad).copy()
         U[0, 1] += 1e-14 * np.abs(U).max()
