@@ -71,10 +71,10 @@ def hf_pair_probability(r, model="2d", grid_size=201, quad=DEFAULT_QUAD):
                            model, "hf")
 
 
-def hf_difference(full_grid, hf_grid, guard=1e-12):
-    """Percent difference 100 (P_hf - P_full) / P_full, guarded."""
+def hf_difference(full_grid, hf_grid):
+    """100 (P_hf - P_full) / P_full in percent, 0 where |P_full| < 1e-12."""
     P = full_grid.values
-    return np.where(np.abs(P) < guard, 0.0,
+    return np.where(np.abs(P) < 1e-12, 0.0,
                     100.0 * (hf_grid.values - P) / np.where(P == 0, 1.0, P))
 
 
@@ -214,8 +214,7 @@ def sweep_epsilon(ch, eps_grid=None, params=tb.DEFAULT_PARAMS,
 
 
 def sweep_species(r_min=3.0, r_max=15.0, env=Environment(),
-                  params=tb.DEFAULT_PARAMS, models=("1d", "2d"),
-                  quad=DEFAULT_QUAD):
+                  params=tb.DEFAULT_PARAMS, quad=DEFAULT_QUAD):
     """Physical binding energies of all semiconducting species in range."""
     rows = []
     for ch in tb.enumerate_species(r_min, r_max, params):
@@ -224,17 +223,15 @@ def sweep_species(r_min=3.0, r_max=15.0, env=Environment(),
                "m_h_m0": masses.m_h, "mu_m0": masses.mu,
                "sigma": masses.sigma, "Ry_eV": u.rydberg, "aB_A": u.bohr,
                "r_aB": r}
-        for model in models:
+        for model in ("1d", "2d"):
             both = binding_both_charges(r, masses.sigma, model, quad)
             row[f"E_B_minus_{model}_meV"] = \
                 to_physical_energy(both["-"].E_B, u) * 1e3
             row[f"E_B_plus_{model}_meV"] = \
                 to_physical_energy(both["+"].E_B, u) * 1e3
-        if "1d" in models and "2d" in models:
-            e2, e1 = row["E_B_minus_2d_meV"], row["E_B_minus_1d_meV"]
-            row["model_gap_pct"] = 100.0 * (e2 - e1) / e2
-        if "2d" in models:
-            row["detectable"] = row["E_B_minus_2d_meV"] > KBT_ROOM_EV * 1e3
+        e2, e1 = row["E_B_minus_2d_meV"], row["E_B_minus_1d_meV"]
+        row["model_gap_pct"] = 100.0 * (e2 - e1) / e2
+        row["detectable"] = e2 > KBT_ROOM_EV * 1e3
         rows.append(row)
     return rows
 

@@ -10,7 +10,7 @@ Every weight needed here has a closed form in terms of scaled Bessel
 functions and the Dawson function, except one (the autocorrelation of
 |sin(theta/2)|): its smooth remainder is piecewise Chebyshev in sqrt(q)
 on q <= 200 and an asymptotic series in 1/q on the rest.  Assembly reads
-each profile's outer sum (`outer_sum`) from Chebyshev tables in ln t.
+the profiles' outer sums (`outer_sums`) from Chebyshev tables in ln t.
 """
 import math
 import pathlib
@@ -235,9 +235,10 @@ def _table(prof, quad):
     return _TABLES[key]
 
 
-def outer_sum(prof, t, quad):
-    """G(t) = sum_n w_n prof(t sinh^2 u_n) over the outer rule of `quad`, by
-    Clenshaw's recurrence on all points at once; t must lie in exp(LN_T)."""
+def outer_sums(profs, t, quad):
+    """G(t) = sum_n w_n prof(t sinh^2 u_n) over the outer rule of `quad` for
+    each of `profs`, shape (len(profs),) + t.shape, by one Clenshaw
+    recurrence on all profiles and points; t must lie in exp(LN_T)."""
     t = np.asarray(t, float)
     lo, hi = np.exp(LN_T)
     if not np.all((t >= lo) & (t <= hi)):
@@ -248,7 +249,7 @@ def outer_sum(prof, t, quad):
     x = np.clip((np.log(t) - LN_T[0]) / _WIDTH, 0.0, _PANELS)
     k = np.minimum(x.astype(np.intp), _PANELS - 1)
     s2 = 4.0 * (x - k) - 2.0                # twice the point in [-1, 1]
-    c = _table(prof, quad)[:, k]
+    c = np.stack([_table(prof, quad) for prof in profs], axis=1)[:, :, k]
     b1 = b2 = 0.0
     for ck in c[:0:-1]:
         b1, b2 = ck + s2 * b1 - b2, b1

@@ -1,8 +1,8 @@
 """Assembly of the overlap, kinetic and potential matrices.
 
 Axial Gaussian integrals are closed forms; a Coulomb element is a
-prefactor times `angular.outer_sum` of an angular weight at t = 4 r^2 D/E,
-one table lookup per distinct weight on each grid of t.  Angular factors
+prefactor times the outer sum of an angular weight at t = 4 r^2 D/E,
+one `angular.outer_sums` call per grid of t (`_coulomb`).  Angular factors
 carry the measure d(theta)/(2 pi) per particle, matching the normalized
 angular kernel tables in `basis`.
 """
@@ -90,31 +90,38 @@ def _unique_pairs(al):
     return al[iu] + al[ju], back
 
 
-def _outer_sums(profs, t, quad, r, exponents):
-    """{profile: angular.outer_sum(profile, t, quad)} for the distinct
-    `profs`; a t outside the tables names the exponents and r behind it."""
+def _coulomb(n, entry, t, quad, what):
+    """Table T of shape (n, n) + t.shape, symmetric in its first two axes:
+    T[a, b] = scale * sum(c * G[prof] for c, prof in terms), where
+    (scale, terms) = entry(a, b) and G holds the outer sums of every
+    profile on t from one `angular.outer_sums` call.  A t outside the
+    tables names `what`, the exponents and r behind it."""
+    entries = {(a, b): entry(a, b) for a in range(n) for b in range(a, n)}
+    profs = list(dict.fromkeys(prof for _, terms in entries.values()
+                               for _, prof in terms))
     try:
-        return {prof: angular.outer_sum(prof, t, quad) for prof in profs}
+        G = dict(zip(profs, angular.outer_sums(profs, t, quad)))
     except ValueError as err:
-        raise ValueError(f"{exponents} at r={r}: {err}") from None
+        raise ValueError(f"{what}: {err}") from None
+    T = np.empty((n, n) + t.shape)
+    for (a, b), (scale, terms) in entries.items():
+        T[a, b] = T[b, a] = scale * sum(c * G[prof] for c, prof in terms)
+    return T
 
 
-def _channel(channel, Au, Bu, Cu, r, L, quad, exponents):
+def _channel(channel, Au, Bu, Cu, r, L, quad, what):
     """Signed, normalized integrals of one Coulomb channel on the grid of
-    unique pair sums, shape (p1, p2, p3, L, L): one outer sum per distinct
-    angular profile, on t = 4 r^2 D/E."""
+    unique pair sums, shape (p1, p2, p3, L, L), on t = 4 r^2 D/E."""
     A, B, C = Au[:, None, None], Bu[None, :, None], Cu[None, None, :]
     D = A * B + (A + B) * C
     E = (B + C, A + C, A + B)[channel]
-    entries = {(l, lp): angular.pair_entry(channel, l, lp)
-               for l in range(L) for lp in range(l, L)}
-    G = _outer_sums({prof for _, prof in entries.values()},
-                    4.0 * r * r * D / E, quad, r, exponents)
     pref = (1.0 if channel == 2 else -1.0) * _PREF / np.sqrt(E)
-    out = np.empty(D.shape + (L, L))
-    for (l, lp), (coef, prof) in entries.items():
-        out[..., l, lp] = out[..., lp, l] = pref * coef * G[prof]
-    return out
+
+    def entry(l, lp):
+        coef, prof = angular.pair_entry(channel, l, lp)
+        return pref * coef, ((1.0, prof),)
+    T = _coulomb(L, entry, 4.0 * r * r * D / E, quad, what)
+    return np.moveaxis(T, (0, 1), (-2, -1))
 
 
 def assemble_potential(basis, r, quad=DEFAULT_QUAD):
@@ -135,7 +142,8 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     ai, aj, ak = _axial_arrays(basis)
     L = basis.angular.size
     (Au, ia), (Bu, ib), (Cu, ic) = map(_unique_pairs, (ai, aj, ak))
-    exps = f"exponents i {ai.tolist()}, j {aj.tolist()}, k {ak.tolist()}"
+    exps = (f"exponents i {ai.tolist()}, j {aj.tolist()}, k {ak.tolist()} "
+            f"at r={r}")
     U = [_channel(0, Au, Bu, Cu, r, L, quad, exps)]
     swap_ik = np.array_equal(ai, ak) and angular.keeps_labels(2, L)
     for channel, reuse, axes, sgn in (
@@ -166,15 +174,10 @@ def assemble_exciton(basis, r, quad=DEFAULT_QUAD):
     K = np.kron(k_ax, ANGULAR_OVERLAP[:L, :L]) \
         + np.kron(s_ax, ANGULAR_KINETIC[:L, :L]) / r ** 2
     # labels 0, 1 of channel 0 are this pair's {1, |sin(theta/2)|}
-    profs = {(l, lp): angular.pair_entry(0, l, lp)[1]
-             for l in range(L) for lp in range(l, L)}
-    G = _outer_sums(set(profs.values()), 4.0 * r * r * A, quad, r,
-                    f"exponents {al.tolist()}")
-    n = len(al)
-    U = np.zeros((n, L, n, L))
-    for (l, lp), prof in profs.items():
-        U[:, l, :, lp] = U[:, lp, :, l] = -(2.0 / np.pi) * G[prof]
-    return MatrixTriple(S, K, U.reshape(n * L, n * L))
+    U = _coulomb(L, lambda l, lp: (
+        -2.0 / np.pi, ((1.0, angular.pair_entry(0, l, lp)[1]),)),
+        4.0 * r * r * A, quad, f"exponents {al.tolist()} at r={r}")
+    return MatrixTriple(S, K, U.transpose(2, 0, 3, 1).reshape(S.shape))
 
 
 # --- two-particle mean-field repulsion tensor -------------------------------
@@ -192,16 +195,10 @@ def repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
     Pu, ip = _unique_pairs(al)
     P, Q = Pu[:, None], Pu[None, :]
     E = P + Q
-    ns = 2 * n_ang - 1
-    terms = {(s1, s2): angular.power_corr_terms(s1, s2)
-             for s1 in range(ns) for s2 in range(s1, ns)}
-    G = _outer_sums({prof for ts in terms.values() for _, prof in ts},
-                    4.0 * r * r * (P * Q) / E, quad, r,
-                    f"exponents {al.tolist()}")
     pref = _PREF / np.sqrt(E)
-    J = np.empty((ns, ns, len(Pu), len(Pu)))
-    for (s1, s2), ts in terms.items():
-        J[s1, s2] = J[s2, s1] = pref * sum(c * G[prof] for c, prof in ts)
+    J = _coulomb(2 * n_ang - 1, lambda s1, s2: (
+        pref, angular.power_corr_terms(s1, s2)),
+        4.0 * r * r * (P * Q) / E, quad, f"exponents {al.tolist()} at r={r}")
     pair = ip[:, None, :, None]                      # (a, ., b, .)
     lsum = np.add.outer(np.arange(n_ang), np.arange(n_ang))[None, :, None, :]
     ex = (Ellipsis,) + (None,) * 4

@@ -155,14 +155,16 @@ def cmd_probability(args):
     from . import analysis, solver
     points = _count(args, "grid")
     r, sigma, _ = _context(args)
-    sigma = sigma if args.sigma is None else args.sigma
     quad = _quad(args)
     if args.kind == "exciton":
+        if args.sigma is not None:
+            raise ValueError("--sigma applies to --kind trion only")
         spec, basis = solver.exciton_spectrum(r, args.model, quad=quad)
         grid = analysis.exciton_probability(spec, basis, points, r=r)
         rows = [{"theta": t, "P": v}
                 for t, v in zip(grid.theta, grid.values)]
         return {"kind": "exciton"}, rows
+    sigma = sigma if args.sigma is None else args.sigma
     spec, basis = solver.trion_spectrum(r, sigma, "-", args.model, quad=quad)
     grid = analysis.trion_probability(spec, basis, points, r=r)
     rows = [{"theta1": t1, "theta2": t2, "P": grid.values[i, j]}

@@ -80,16 +80,15 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
                    len(history) - 1, converged, tuple(history), float(res))
 
 
-def hf_binding_energy(r, model="2d", basis=None, exciton_basis=None,
-                      quad=DEFAULT_QUAD):
+def hf_binding_energy(r, model="2d", quad=DEFAULT_QUAD):
     """E_B within the mean-field approximation, exciton reference exact.
 
     The exciton energy comes from the exact variational solver in the
     same model (recorded convention; sigma is fixed at 0).
     """
-    state = scf(r, model, basis, quad=quad)
+    state = scf(r, model, quad=quad)
     if not state.converged:
         raise RuntimeError(f"SCF did not converge at r={r} ({model})")
-    e_x = exciton_ground(r, model, exciton_basis, quad)
+    e_x = exciton_ground(r, model, quad=quad)
     return TrionResult(state.E_T_HF, e_x, e_x - state.E_T_HF, model, 0.0,
                        "-", r), state

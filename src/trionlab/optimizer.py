@@ -15,6 +15,10 @@ from .hartree_fock import scf
 from .quadrature import DEFAULT_QUAD
 from .solver import exciton_ground, trion_energy
 
+# Gradient step and first line-search step in log-exponent space, and
+# the energy drop (Ry*) below which an accepted step ends the search.
+GRAD_STEP, STEP0, E_TOL = 1e-3, 0.25, 1e-6
+
 
 @dataclass(frozen=True)
 class OptimizationRun:
@@ -38,8 +42,8 @@ def _objective(problem, model, groups, r0, quad):
     return state.E_T_HF
 
 
-def optimize(problem, model, initial, r0=0.1, grad_step=1e-3, step0=0.25,
-             e_tol=1e-6, max_steps=100, quad=DEFAULT_QUAD):
+def optimize(problem, model, initial, r0=0.1, max_steps=100,
+             quad=DEFAULT_QUAD):
     """Minimize the ground energy over log-exponents.
 
     `initial` is a tuple of exponent tuples, one per tied group (one
@@ -65,13 +69,13 @@ def optimize(problem, model, initial, r0=0.1, grad_step=1e-3, step0=0.25,
     accepted = rejected = 0
     converged = False
     for _ in range(max_steps):
-        g = np.array([(f(x + grad_step * d) - f(x - grad_step * d))
-                      / (2.0 * grad_step) for d in np.eye(len(x))])
+        g = np.array([(f(x + GRAD_STEP * d) - f(x - GRAD_STEP * d))
+                      / (2.0 * GRAD_STEP) for d in np.eye(len(x))])
         gnorm = np.linalg.norm(g)
         if gnorm == 0:
             converged = True
             break
-        step, direction = step0, -g / gnorm
+        step, direction = STEP0, -g / gnorm
         while step > 1e-6:
             e_new = f(x + step * direction)
             if e_new < e:
@@ -84,7 +88,7 @@ def optimize(problem, model, initial, r0=0.1, grad_step=1e-3, step0=0.25,
             break
         accepted += 1
         history.append(e_new)
-        if e - e_new < e_tol:
+        if e - e_new < E_TOL:
             e = e_new
             converged = True
             break

@@ -7,7 +7,7 @@ t = t0 sinh(u) flattens the remaining half-line integral so that a fixed
 composite Gauss-Legendre rule converges to machine precision.  The
 integrand decays like exp(-c sinh^2 u), so the default panel layout
 (dense near 0, geometric further out) is far inside round-off by u = 32.
-Its node count sets the cost of fitting the tables of `angular.outer_sum`
+Its node count sets the cost of fitting the tables of `angular.outer_sums`
 (once per spec), not of assembling a matrix.
 """
 from dataclasses import dataclass

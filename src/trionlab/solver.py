@@ -300,9 +300,8 @@ def trion_energy(r, sigma, charge="-", model="2d", basis=None,
     return bound(_lowest(h) / x ** 2)
 
 
-def binding_energy(r, sigma, charge="-", model="2d", trion_basis=None,
-                   exciton_basis=None, quad=DEFAULT_QUAD):
-    """Trion binding energy E_B = E_X - E_T, both within the same model."""
-    e_t = trion_energy(r, sigma, charge, model, trion_basis, quad)
-    e_x = exciton_ground(r, model, exciton_basis, quad)
+def binding_energy(r, sigma, charge="-", model="2d", quad=DEFAULT_QUAD):
+    """Trion binding energy E_B = E_X - E_T in the model's preset bases."""
+    e_t = trion_energy(r, sigma, charge, model, quad=quad)
+    e_x = exciton_ground(r, model, quad=quad)
     return TrionResult(e_t, e_x, e_x - e_t, model, sigma, charge, r)

@@ -194,7 +194,7 @@ def test_outer_sum_matches_the_direct_sum(quad_name, name):
             "cos_weight": (angular.flat_weight(q)
                            + 2.0 * angular.sin2_weight(q)) @ w}
     size = size.get(name, np.abs(direct))
-    got = angular.outer_sum(prof, OUTER_T, quad)
+    got = angular.outer_sums((prof,), OUTER_T, quad)[0]
     assert got.shape == OUTER_T.shape
     assert np.max(np.abs(got - direct) / size) < 1e-14
 
@@ -204,8 +204,22 @@ def test_outer_sum_matches_the_direct_sum(quad_name, name):
                                0.0, -1.0, np.inf, np.nan])
 def test_outer_sum_rejects_t_outside_its_table(t):
     with pytest.raises(ValueError, match="outside the tabulated"):
-        angular.outer_sum(angular.flat_weight, np.array([1.0, t]),
-                          DEFAULT_QUAD)
+        angular.outer_sums((angular.flat_weight,), np.array([1.0, t]),
+                           DEFAULT_QUAD)
+
+
+@pytest.mark.parametrize("quad_name", list(OUTER_QUADS))
+def test_outer_sums_of_all_profiles_match_one_profile_calls(quad_name):
+    """One call over every base and composite profile stacks the tables and
+    runs one recurrence; each row is bit for bit the one-profile call."""
+    quad = OUTER_QUADS[quad_name]
+    profs = [getattr(angular, name) for name in OUTER_PROFILES]
+    t = OUTER_T.reshape(4, -1)
+    got = angular.outer_sums(profs, t, quad)
+    assert got.shape == (len(profs),) + t.shape
+    for row, prof in zip(got, profs):
+        np.testing.assert_array_equal(row,
+                                      angular.outer_sums((prof,), t, quad)[0])
 
 
 # --- tables shipped with the package ------------------------------------------

@@ -105,6 +105,8 @@ BAD_INPUTS = [
      "--grid must be >= 1, got 0"),
     (["probability", "--radius", "0.1", "--kind", "exciton", "--grid=-2"],
      "--grid must be >= 1, got -2"),
+    (["probability", "--radius", "0.1", "--kind", "exciton", "--sigma",
+      "0.5"], "--sigma applies to --kind trion only"),
     (["sweep-species", "--rmax", "inf"],
      "species range needs finite r_min <= r_max, got r_min 3.0, r_max inf"),
     (["sweep-species", "--rmax", "nan"],
