@@ -8,6 +8,9 @@ submodules on first access (PEP 562): `import trionlab` loads no numerics.
 import importlib
 
 __version__ = "0.1.0"
+# Nodes per panel of the default outer Coulomb rule (`QuadratureSpec`),
+# here so that the CLI offers it without loading `quadrature`.
+OUTER_ORDER = 24
 
 _HOMES = {
     "basis": ("AngularSet", "AxialBasis", "BasisSpec", "coulomb_potential",

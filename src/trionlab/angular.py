@@ -189,12 +189,13 @@ def power_corr_terms(p1, p2):
 # so the tables of cos_weight and sincorr_weight are sums of base tables.
 # Tables are keyed by profile name: a functools.wraps wrapper shares them.
 # DEFAULT_QUAD's base tables ship in TABLE_FILE (`python -m trionlab.angular`
-# writes it), read only while its digest matches angular.py and quadrature.py.
+# writes it), read only while its digest matches _SOURCES.
 LN_T, _PANELS, _DEG = (-20.0, 20.0), 40, 24
 _WIDTH = (LN_T[1] - LN_T[0]) / _PANELS
 _TABLES = {}
 _BASE = ("flat_weight", "sin_weight", "sin2_weight", "_sincorr_tail")
 TABLE_FILE = pathlib.Path(__file__).with_name("outer_tables.npz")
+_SOURCES = ("__init__.py", "angular.py", "quadrature.py")   # with OUTER_ORDER
 
 
 @cache
@@ -202,7 +203,7 @@ def _shipped():
     """The base tables in TABLE_FILE; {} if it is missing, corrupt or stale."""
     try:
         with np.load(TABLE_FILE) as f:
-            if f["digest"] == source_digest(("angular.py", "quadrature.py")):
+            if f["digest"] == source_digest(_SOURCES):
                 return {name: f[name] for name in _BASE}
         problem = f"stale {TABLE_FILE}"
     except FileNotFoundError:
@@ -258,5 +259,5 @@ def outer_sums(profs, t, quad):
 
 if __name__ == "__main__":
     _shipped = dict     # fit every table, whatever TABLE_FILE holds
-    np.savez(TABLE_FILE, digest=source_digest(("angular.py", "quadrature.py")),
+    np.savez(TABLE_FILE, digest=source_digest(_SOURCES),
              **{name: _table(globals()[name], DEFAULT_QUAD) for name in _BASE})

@@ -5,7 +5,6 @@ import json
 import os
 import pathlib
 import sys
-import tempfile
 
 
 def source_digest(names=None):
@@ -71,6 +70,7 @@ class ResultCache:
         """Write via a temp file of this writer's own; a failure only warns."""
         if not self.directory:
             return
+        import tempfile   # off the import path of a cache hit
         tmp = None
         try:
             fd, tmp = tempfile.mkstemp(".tmp", key + ".", self.directory)

@@ -7,9 +7,8 @@ import json
 import math
 import sys
 
-from . import __version__
+from . import OUTER_ORDER, __version__
 from .cache import ResultCache, config_key
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
 
 def _pyify(obj):
@@ -59,6 +58,7 @@ def _tb_params(args):
 
 
 def _quad(args):
+    from .quadrature import QuadratureSpec
     return QuadratureSpec(outer_order=args.outer_order)
 
 
@@ -240,7 +240,7 @@ SHARED = {
     "t": dict(type=float, default=-2.89),
     "s": dict(type=float, default=0.1),
     "a": dict(type=float, default=2.46),
-    "outer-order": dict(type=int, default=DEFAULT_QUAD.outer_order),
+    "outer-order": dict(type=int, default=OUTER_ORDER),
     "start": dict(type=float),
     "stop": dict(type=float),
     "points": dict(type=int),

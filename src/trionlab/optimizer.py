@@ -42,6 +42,24 @@ def _objective(problem, model, groups, r0, quad):
     return state.E_T_HF
 
 
+def _line_search(f, x, e, g):
+    """(x', f(x'), rejected) for the first x' = x - step g/|g|, from
+    step = STEP0 halved down to 1e-6, with f(x') < e; x' is None if no
+    step lowers e or g = 0."""
+    gnorm = np.linalg.norm(g)
+    if gnorm == 0:
+        return None, e, 0
+    direction, step, rejected = -g / gnorm, STEP0, 0
+    while step > 1e-6:
+        x_new = x + step * direction
+        e_new = f(x_new)
+        if e_new < e:
+            return x_new, e_new, rejected
+        rejected += 1
+        step /= 2.0
+    return None, e, rejected
+
+
 def optimize(problem, model, initial, r0=0.1, max_steps=100,
              quad=DEFAULT_QUAD):
     """Minimize the ground energy over log-exponents.
@@ -69,23 +87,20 @@ def optimize(problem, model, initial, r0=0.1, max_steps=100,
     accepted = rejected = 0
     converged = False
     for _ in range(max_steps):
-        g = np.array([(f(x + GRAD_STEP * d) - f(x - GRAD_STEP * d))
-                      / (2.0 * GRAD_STEP) for d in np.eye(len(x))])
-        gnorm = np.linalg.norm(g)
-        if gnorm == 0:
-            converged = True
-            break
-        step, direction = STEP0, -g / gnorm
-        while step > 1e-6:
-            e_new = f(x + step * direction)
-            if e_new < e:
-                x = x + step * direction
+        # A probe that crosses a point where the orthogonalizer drops a
+        # mode can point the gradient uphill: before stopping, probe once
+        # more, ten times closer.
+        for h in (GRAD_STEP, GRAD_STEP / 10):
+            g = np.array([(f(x + h * d) - f(x - h * d)) / (2.0 * h)
+                          for d in np.eye(len(x))])
+            x_new, e_new, n = _line_search(f, x, e, g)
+            rejected += n
+            if x_new is not None:
                 break
-            rejected += 1
-            step /= 2.0
         else:                           # no step lowered the energy
             converged = True
             break
+        x = x_new
         accepted += 1
         history.append(e_new)
         if e - e_new < E_TOL:

@@ -12,6 +12,8 @@ Its node count sets the cost of fitting the tables of `angular.outer_sums`
 """
 from dataclasses import dataclass
 
+from . import OUTER_ORDER
+
 _DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -24,7 +26,7 @@ class QuadratureSpec:
     quadrature controls: every other integral is in closed form or uses
     a fixed rule (see `angular`).
     """
-    outer_order: int = 24
+    outer_order: int = OUTER_ORDER
     outer_edges: tuple = _DEFAULT_EDGES
 
     def __post_init__(self):

@@ -18,6 +18,10 @@ sector, which the Hamiltonian does not couple to the triplet one.
 Energy-only calls solve for the lowest eigenvalue alone: `trion_energy`
 by one dsyevr call (`_lowest`), `exciton_ground` by numpy's eigh.
 """
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,11 +229,43 @@ def family_at(problem, model, r, basis, quad):
                     else (lambda e: e))
 
 
+def _flapack_file():
+    """Path of scipy's LAPACK extension module `linalg/_flapack`, or None
+    if this scipy keeps it elsewhere."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _lapack():
+    """scipy's (dsyevr, dsyevr_lwork), from `_flapack` loaded by its file
+    path: neither `scipy` nor `scipy.linalg` runs its __init__ (3 ms
+    instead of about 280 ms after numpy).  The module goes into
+    sys.modules under its own name, so a later `import scipy.linalg`
+    reuses it.  Without the file, `get_lapack_funcs` gives the same
+    functions."""
+    path = _flapack_file()
+    if path is None:
+        from scipy.linalg import get_lapack_funcs
+        return get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    module = sys.modules.get("scipy.linalg._flapack")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("scipy.linalg._flapack",
+                                                      path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dsyevr, module.dsyevr_lwork
+
+
 @lru_cache(maxsize=None)
 def _syevr(n):
-    """dsyevr and the workspace sizes scipy's eigh queries, once per n."""
-    from scipy.linalg import get_lapack_funcs   # off the package import path
-    drv, query = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+    """dsyevr and the workspace sizes scipy's eigh queries, once per n;
+    the functions come from `_lapack`, without importing scipy.linalg."""
+    drv, query = _lapack()
     lwork, liwork, _ = query(n=n, lower=1)
     return drv, int(lwork), int(liwork)
 

@@ -27,7 +27,7 @@ from trionlab.basis import (ANGULAR_OVERLAP, AngularSet, AxialBasis,
                             tied_basis)
 from trionlab.cli import main
 from trionlab.hartree_fock import hf_binding_energy, scf
-from trionlab.optimizer import optimize
+from trionlab.optimizer import GRAD_STEP, optimize
 from trionlab.quadrature import DEFAULT_QUAD, QuadratureSpec
 from trionlab.solver import (binding_energy, exciton_energy, exciton_ground,
                              exciton_spectrum, solve_generalized,
@@ -200,13 +200,12 @@ def test_exciton_ground_is_the_spectrum_ground_bit_for_bit(model):
 def test_lowest_queries_the_workspace_once_per_dimension(monkeypatch):
     """The dsyevr workspace is queried once for each matrix size and
     reused by every later solve of that size."""
-    import scipy.linalg
-    sizes, get = [], scipy.linalg.get_lapack_funcs
+    sizes, load = [], solver._lapack
 
-    def counted(names, *args, **kwargs):
-        drv, query = get(names, *args, **kwargs)
+    def counted():
+        drv, query = load()
         return drv, lambda n, **kw: sizes.append(n) or query(n=n, **kw)
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    monkeypatch.setattr(solver, "_lapack", counted)
     solver._syevr.cache_clear()
     try:
         for r in (0.05, 0.1, 0.2):
@@ -216,6 +215,66 @@ def test_lowest_queries_the_workspace_once_per_dimension(monkeypatch):
         assert sizes == [138, 66]
     finally:
         solver._syevr.cache_clear()
+
+
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_lowest_without_the_flapack_file_uses_get_lapack_funcs(model,
+                                                               monkeypatch):
+    """Where scipy keeps no `linalg/_flapack` file, `_lowest` takes dsyevr
+    from `get_lapack_funcs` and still equals scipy's eigh bit for bit on
+    every block of `test_lowest_is_scipy_eigh_bit_for_bit`."""
+    import scipy.linalg
+    calls, get = [], scipy.linalg.get_lapack_funcs
+
+    def counted(names, *args, **kwargs):
+        calls.append(names)
+        return get(names, *args, **kwargs)
+    monkeypatch.setattr(solver, "_flapack_file", lambda: None)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counted)
+    solver._syevr.cache_clear()
+    try:
+        test_lowest_is_scipy_eigh_bit_for_bit(model)
+        assert calls and set(calls) == {("syevr", "syevr_lwork")}
+    finally:
+        solver._syevr.cache_clear()
+
+
+def test_scipy_linalg_imported_after_lowest_reuses_its_flapack():
+    """In a fresh process `_lowest` loads `_flapack` without importing
+    scipy.linalg; a later `import scipy.linalg` takes the same module
+    (one in the process), and its eigh equals `_lowest` in both models."""
+    code = "\n".join([
+        "import sys, trionlab.solver as s",
+        "hs = [s._trion(0.1, 0.5, '-', m, None, s.DEFAULT_QUAD)[3]",
+        "      for m in ('1d', '2d')]",
+        "es = [s._lowest(h) for h in hs]",
+        "assert 'scipy.linalg' not in sys.modules",
+        "loaded = sys.modules['scipy.linalg._flapack']",
+        "from scipy.linalg import _flapack, eigh",
+        "named = [m for m in list(sys.modules.values())",
+        "         if getattr(m, '__name__', '') == 'scipy.linalg._flapack']",
+        "assert _flapack is loaded and named == [loaded], named",
+        "print(*(eigh(h, eigvals_only=True, subset_by_index=(0, 0))[0] == e",
+        "        for h, e in zip(hs, es)))"])
+    assert _imported(["-c", code])[0].split() == ["True", "True"]
+
+
+def test_optimize_steps_after_a_probe_drops_a_mode():
+    """At this trion1d start the probe x + GRAD_STEP e_1 crosses a point
+    where the orthogonalizer drops a mode (58 to 57 retained), so the
+    central difference of e_1 reads +0.075 against a true -0.0097 and no
+    line-search step lowers the energy.  `optimize` then probes once more
+    at GRAD_STEP / 10 and takes a step instead of stopping."""
+    start = (0.15337306869997733, 0.1382143193091151, 1.6026130377800847,
+             9.365110676657972, 47.688426022213214)
+    x = np.log(start)
+    dims = [solver.family("trion", tied_basis("trion", "1d", (tuple(exps),)),
+                          DEFAULT_QUAD).X.shape[1]
+            for exps in (start, np.exp(x + GRAD_STEP * np.eye(5)[1]))]
+    assert dims == [58, 57]
+    run = optimize("trion", "1d", (start,), max_steps=1)
+    assert run.accepted == 1 and run.history[1] < run.history[0]
+    assert run.history[1] == pytest.approx(-8.845872517153133, rel=1e-12)
 
 
 @pytest.mark.parametrize("h", [
@@ -458,9 +517,11 @@ def _numerics(names, prefixes=("numpy", "scipy")):
 def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     """Importing the package or the CLI assembles nothing and loads no
     scipy solver; a bare `import trionlab` and a warm cache hit load no
-    numerics at all, cold `bands`, `masses`, `exciton` and `hf` runs load
-    no scipy, and cold `trion` runs load no `scipy.special` (the default
-    quadrature's tables are shipped) and no `scipy.optimize`."""
+    numerics at all, and a hit loads no package module but `cli` and
+    `cache`; cold `bands`, `masses`, `exciton` and `hf` runs load no
+    scipy, and cold `trion` and `sweep-sigma` runs import no scipy module
+    (`solver._lapack` loads the `_flapack` extension alone, and the
+    default quadrature's tables are shipped)."""
     code = ("import sys, trionlab.cli, trionlab.solver as s; "
             "assert s.preset_family.cache_info().currsize == 0; "
             "assert 'scipy.optimize' not in sys.modules; "
@@ -474,6 +535,8 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     warm, names = _imported(argv)
     assert warm == cold
     assert _numerics(names) == []
+    assert {n for n in names if n.split(".")[0] == "trionlab"} <= {
+        "trionlab", "trionlab.cli", "trionlab.cache"}
     for argv in (["bands", "--chirality", "4,2", "--points", "5"],
                  ["masses", "--chirality", "6,5"],
                  ["hf", "--radius", "0.3"],
@@ -481,10 +544,29 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
         _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
         assert "numpy" in names
         assert _numerics(names, ("scipy",)) == []
-    _, names = _imported(["-m", "trionlab.cli", "trion", "--chirality", "6,5",
-                          "--no-cache"])
-    assert "scipy.special" not in names
-    assert "scipy.optimize" not in names
+    for argv in (["trion", "--chirality", "6,5"],
+                 ["sweep-sigma", "--radius", "0.1", "--points", "3",
+                  "--model", "1d"]):
+        _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
+        assert _numerics(names, ("scipy",)) == []
+
+
+def test_outer_order_default_is_the_quadrature_default():
+    """Every --outer-order default is `QuadratureSpec`'s, so a default cold
+    run reads the shipped tables and fits none."""
+    from trionlab.cli import build_parser
+    commands = build_parser()[1]
+    defaults = {name: sub.get_default("outer_order")
+                for name, sub in commands.items()
+                if sub.get_default("outer_order") is not None}
+    assert set(defaults) == set(commands) - {"masses", "bands"}
+    assert set(defaults.values()) == {QuadratureSpec().outer_order}
+    code = ("import trionlab.angular as a; from trionlab.cli import main; "
+            "fits, fit = [], a.outer_rule; "
+            "a.outer_rule = lambda q: fits.append(q) or fit(q); "
+            "main(['trion', '--radius', '0.1', '--no-cache']); "
+            "main(['hf', '--radius', '0.3', '--no-cache']); print(len(fits))")
+    assert _imported(["-c", code])[0].split()[-1] == "0"
 
 
 def test_sincorr_tail_fitted_only_off_the_shipped_tables():
