@@ -97,6 +97,8 @@ def fit_power_law(x, y):
     Its root is bracketed around the log-log slope and bisected down to
     adjacent floats, with elementwise sums only (no BLAS)."""
     x, y = np.asarray(x, float), np.asarray(y, float)
+    if np.unique(x).size < 3:
+        raise ValueError("power-law fit needs at least 3 distinct x values")
     lx = np.log(x)
 
     def project(p):

@@ -52,9 +52,15 @@ def parse_chirality(text):
         raise ValueError(f"bad chirality {text!r}: {exc}") from None
 
 
+def _given(args, *options):
+    """The `options` given, as keywords: the library defaults the rest."""
+    return {o: getattr(args, o) for o in options
+            if getattr(args, o) is not None}
+
+
 def _tb_params(args):
     from . import tightbinding as tb
-    return tb.TightBindingParams(t=args.t, s=args.s, a=args.a)
+    return tb.TightBindingParams(**_given(args, "t", "s", "a"))
 
 
 def _quad(args):
@@ -63,17 +69,19 @@ def _quad(args):
 
 
 def _context(args):
-    """Resolve (r in a_B*, the species' sigma or 0, units or None) from CLI
-    inputs; the handlers that take --sigma let it override that sigma."""
+    """Resolve (r in a_B*, the species' sigma or 0, units or None) from one
+    of --chirality and --radius; --sigma, where taken, overrides sigma."""
     from . import analysis, units
-    if args.chirality:
-        ch = parse_chirality(args.chirality)
-        masses, u, _, r = analysis.species_units(
-            ch, units.Environment(args.epsilon), _tb_params(args))
-        return r, masses.sigma, u
-    if args.radius is None:
-        raise ValueError("either --chirality or --radius is required")
-    return args.radius, 0.0, None
+    if (args.chirality is None) == (args.radius is None):
+        raise ValueError("give exactly one of --chirality and --radius")
+    if args.radius is not None:
+        for opt in _given(args, "epsilon", "t", "s", "a"):
+            raise ValueError(f"--{opt} applies to --chirality, not --radius")
+        return args.radius, 0.0, None
+    masses, u, _, r = analysis.species_units(
+        parse_chirality(args.chirality),
+        units.Environment(**_given(args, "epsilon")), _tb_params(args))
+    return r, masses.sigma, u
 
 
 # --- subcommand handlers (return metadata, rows) ----------------------------
@@ -196,7 +204,7 @@ def _grid(args, quantity):
 def cmd_sweep_radius(args):
     from . import analysis
     grid = _grid(args, "radius r")
-    return {}, analysis.sweep_radius(grid, sigmas=(args.sigma or 0.0,),
+    return {}, analysis.sweep_radius(grid, sigmas=(args.sigma,),
                                      models=tuple(args.models.split(",")),
                                      methods=tuple(args.methods.split(",")),
                                      quad=_quad(args))
@@ -223,7 +231,7 @@ def cmd_sweep_epsilon(args):
 def cmd_sweep_species(args):
     from . import analysis, units
     rows = analysis.sweep_species(args.rmin, args.rmax,
-                                  units.Environment(args.epsilon),
+                                  units.Environment(**_given(args, "epsilon")),
                                   _tb_params(args), quad=_quad(args))
     return {"species": len(rows)}, rows
 
@@ -233,13 +241,13 @@ def cmd_sweep_species(args):
 # those its handler reads, with keywords (e.g. its default) that override.
 SHARED = {
     "chirality": dict(help="n,m"),
-    "epsilon": dict(type=float, default=3.5),
+    "epsilon": dict(type=float),
     "radius": dict(type=float, help="radius in a_B*"),
     "sigma": dict(type=float),
     "model": dict(choices=("1d", "2d"), default="2d"),
-    "t": dict(type=float, default=-2.89),
-    "s": dict(type=float, default=0.1),
-    "a": dict(type=float, default=2.46),
+    "t": dict(type=float),
+    "s": dict(type=float),
+    "a": dict(type=float),
     "outer-order": dict(type=int, default=OUTER_ORDER),
     "start": dict(type=float),
     "stop": dict(type=float),
@@ -312,23 +320,11 @@ def build_parser():
     return parser, sub.choices
 
 
-def _coerce(text):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
-def load_config_file(path, command_parser, args):
-    """Apply key = value lines as defaults of the active subcommand parser
-    (flags still override).  Keys must name options of that subcommand,
-    as found in `args`, the parse made without the file."""
-    overrides = {}
-    with open(path) as fh:
+def config_argv(argv, args):
+    """`argv` with the --config file's `key = value` lines as `--key=value`
+    after the subcommand (later flags win); a switch takes true or false."""
+    settings = {}
+    with open(args.config) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -336,22 +332,30 @@ def load_config_file(path, command_parser, args):
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            overrides[key.replace("-", "_")] = _coerce(value)
-    allowed = set(vars(args)) - {"command", "config"}
-    unknown = sorted(set(overrides) - allowed)
+            settings[key.replace("-", "_")] = value
+    unknown = sorted(set(settings) - (set(vars(args)) - {"command", "config"}))
     if unknown:
         raise ValueError(f"unknown config key(s) for {args.command}: "
                          + ", ".join(unknown))
-    command_parser.set_defaults(**overrides)
+    tokens = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):    # not a switch
+            tokens.append(f"{flag}={value}")
+        elif value not in ("true", "false"):
+            raise ValueError(f"config switch {key} takes true or false")
+        elif value == "true":
+            tokens.append(flag)
+    i = argv.index(args.command) + 1
+    return argv[:i] + tokens + argv[i:]
 
 
 def run(argv, stdout=None):
     stdout = stdout or sys.stdout
-    parser, commands = build_parser()
+    parser = build_parser()[0]
     args = parser.parse_args(argv)
     if args.config:
-        load_config_file(args.config, commands[args.command], args)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(config_argv(argv, args))
     # the cache key holds what the numbers depend on, not how they are
     # written out (cache.config_key adds the package's source digest)
     config = {k: v for k, v in sorted(vars(args).items())

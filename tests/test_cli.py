@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from trionlab.cache import ResultCache
-from trionlab.cli import main, run
+from trionlab.cli import build_parser, main, run
 
 
 def _run(argv):
@@ -121,15 +121,29 @@ BAD_INPUTS = [
      "sigma=1e-310 overflows the mixing weight: nan"),
     (["trion", "--radius", "1e308"],
      "radius r=1e+308 overflows r/r0 (r0=0.1)"),
-]
+    (["sweep-epsilon", "--chirality", "6,5", "--points", "2"],
+     "power-law fit needs at least 3 distinct x values"),
+    (["sweep-epsilon", "--chirality", "6,5", "--points", "1"],
+     "power-law fit needs at least 3 distinct x values"),
+    (["sweep-epsilon", "--chirality", "6,5", "--start", "3", "--stop", "3"],
+     "power-law fit needs at least 3 distinct x values"),
+    (["trion", "--chirality", "6,5", "--radius", "0.3"],
+     "give exactly one of --chirality and --radius"),
+] + [(["trion", "--radius", "0.1", f"--{option}", value],
+      f"--{option} applies to --chirality, not --radius")
+     for option, value in (("epsilon", "5"), ("t", "-3"), ("s", "0.2"),
+                           ("a", "2.5"))]
 
 
 @pytest.mark.parametrize("argv, message", BAD_INPUTS,
                          ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
 def test_bad_input_rejected(argv, message, tmp_path, capsys):
-    """Inputs that used to run silently, print an empty table or die in a
-    traceback: one error line naming the input, exit 1, nothing cached."""
-    assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+    """Inputs that used to run silently, print an empty table, warn or die
+    in a traceback: one error line naming the input, no numpy warning,
+    exit 1, nothing cached."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 
@@ -400,6 +414,76 @@ def test_config_file_unknown_key(tmp_path, capsys, line):
     cfg.write_text("radius = 0.1\n" + line + "\n")
     assert main(["exciton", "--config", str(cfg), "--no-cache"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_value_parsed_like_its_flag(tmp_path):
+    """A config value goes through its flag's type: `sigma = 1` is the
+    float 1.0 of `--sigma 1`, in the output and in the cache key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma = 1\n")
+    argv = ["trion", "--radius", "0.1", "--model", "1d", "--format", "json",
+            "--no-cache"]
+    _, from_cfg = _run(argv + ["--config", str(cfg)])
+    _, from_flag = _run(argv + ["--sigma", "1"])
+    assert from_cfg == from_flag
+    assert json.loads(from_cfg)["rows"][0]["sigma"] == 1.0
+
+
+@pytest.mark.parametrize("argv, line, option", [
+    (["exciton", "--radius", "0.1"], "model = 3d", "--model"),
+    (["exciton", "--radius", "0.1"], "format = xml", "--format"),
+    (["bands", "--chirality", "4,2"], "points = 2.5", "--points"),
+    (["sweep-radius", "--points", "1"], "sigma = true", "--sigma"),
+])
+def test_config_bad_value_fails_as_its_flag(argv, line, option, tmp_path,
+                                            capsys):
+    """A config value the flag would refuse is a usage error (exit 2)
+    with argparse's one error line naming the option, and nothing cached."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg), "--cache-dir", str(cache)])
+    assert exc.value.code == 2
+    errors = [e for e in capsys.readouterr().err.splitlines() if "error:" in e]
+    assert len(errors) == 1
+    assert f"error: argument {option}: invalid" in errors[0]
+    assert os.listdir(cache) == []
+
+
+@pytest.mark.parametrize("value, code, entries", [("true", 0, 0),
+                                                  ("false", 0, 1),
+                                                  ("yes", 1, 0)])
+def test_config_switch_takes_true_or_false(value, code, entries, tmp_path,
+                                           capsys):
+    """`no-cache = true` skips the cache, `false` keeps it, and any other
+    value is one error line, exit 1."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"radius = 0.1\nmodel = 1d\nno-cache = {value}\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["exciton", "--config", str(cfg), "--cache-dir", str(cache)]
+    assert main(argv) == code
+    assert len(os.listdir(cache)) == entries
+    if code:
+        assert capsys.readouterr().err == \
+            "error: config switch no_cache takes true or false\n"
+
+
+def test_species_defaults_come_from_the_library():
+    """--epsilon, --t, --s and --a default to not given, so Environment
+    and TightBindingParams supply the numbers of a run without them."""
+    for sub in build_parser()[1].values():
+        assert [sub.get_default(o) for o in ("epsilon", "t", "s", "a")] == \
+            [None] * 4
+    argv = ["trion", "--chirality", "6,5", "--no-cache"]
+    explicit = ["--epsilon", "3.5", "--t", "-2.89", "--s", "0.1",
+                "--a", "2.46"]
+    outputs = [[line for line in _run(a)[1].splitlines()
+                if not line.startswith("# config_hash:")]
+               for a in (argv, argv + explicit)]
+    assert outputs[0] == outputs[1]
 
 
 def test_bands_rows():
