@@ -250,7 +250,8 @@ def outer_sums(profs, t, quad):
     x = np.clip((np.log(t) - LN_T[0]) / _WIDTH, 0.0, _PANELS)
     k = np.minimum(x.astype(np.intp), _PANELS - 1)
     s2 = 4.0 * (x - k) - 2.0                # twice the point in [-1, 1]
-    c = np.stack([_table(prof, quad) for prof in profs], axis=1)[:, :, k]
+    # take, not [:, :, k]: C order, so each Clenshaw step reads in order
+    c = np.take(np.stack([_table(p, quad) for p in profs], axis=1), k, -1)
     b1 = b2 = 0.0
     for ck in c[:0:-1]:
         b1, b2 = ck + s2 * b1 - b2, b1

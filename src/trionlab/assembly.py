@@ -52,17 +52,27 @@ def _flatten(T):
     return np.ascontiguousarray(M.reshape(N, N))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
+def _triangle(n):
+    """Rows and columns of the upper triangle of an n x n matrix, and the
+    (n, n) map of entry (a, b) to the place of (min, max) in them."""
+    iu, ju = np.triu_indices(n)
+    back = np.empty((n, n), dtype=np.intp)
+    back[iu, ju] = back[ju, iu] = np.arange(len(iu))
+    iu.flags.writeable = ju.flags.writeable = back.flags.writeable = False
+    return iu, ju, back
+
+
 def axial_matrices(basis):
     """Axial factors (S, K, KM) of the trion matrices, row index (i, j, k):
-    the overlap, K1 + K2 and the mixed form of `axial_kernels`.  The full
-    matrices are their Kronecker products with the angular tables.  The
-    cache rarely hits, but the factors it holds keep glibc from trimming
-    the heap after each build (a 1D trion build re-faults 1.3 MB without)."""
-    i, j, k, ip, jp, kp = np.ix_(*_axial_arrays(basis) * 2)
-    S, K1, K2, KM = axial_kernels(i, ip, j, jp, k, kp)
-    n = i.size * j.size * k.size
-    return S.reshape(n, n), (K1 + K2).reshape(n, n), KM.reshape(n, n)
+    the overlap, K1 + K2 and the mixed form of `axial_kernels`.  The primed
+    swap leaves each kernel unchanged bit for bit, so they are evaluated on
+    the upper triangle and mirrored: symmetric by construction.  The full
+    matrices are their Kronecker products with the angular tables."""
+    f = [g.ravel() for g in np.meshgrid(*_axial_arrays(basis), indexing="ij")]
+    iu, ju, back = _triangle(f[0].size)
+    S, K1, K2, KM = axial_kernels(*(g[idx] for g in f for idx in (iu, ju)))
+    return S.take(back), (K1 + K2).take(back), KM.take(back)
 
 
 def assemble_overlap(basis):
@@ -84,10 +94,19 @@ def assemble_kinetic(basis, sigma, r, charge="-"):
 
 def _unique_pairs(al):
     """Unordered pair sums of one exponent list plus the scatter index."""
-    iu, ju = np.triu_indices(len(al))
-    back = np.empty((len(al), len(al)), dtype=int)
-    back[iu, ju] = back[ju, iu] = np.arange(len(iu))
+    iu, ju, back = _triangle(len(al))
     return al[iu] + al[ju], back
+
+
+@lru_cache(maxsize=2)
+def _scatter(ni, nj, nk, L):
+    """Flat index into the (p1, p2, p3, L, L) pair-sum table of
+    `assemble_potential` of each entry of U, in U's C order."""
+    ia, ib, ic = (_triangle(n)[2] for n in (ni, nj, nk))
+    p = ((ia[:, :, None, None] * (ib.max() + 1) + ib)[..., None, None]
+         * (ic.max() + 1) + ic)                      # (i, i', j, j', k, k')
+    return _flatten(p[..., None, None] * L * L
+                    + np.arange(L * L).reshape(L, L))
 
 
 def _coulomb(n, entry, t, quad, what):
@@ -141,7 +160,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
     check_inputs(r)
     ai, aj, ak = _axial_arrays(basis)
     L = basis.angular.size
-    (Au, ia), (Bu, ib), (Cu, ic) = map(_unique_pairs, (ai, aj, ak))
+    Au, Bu, Cu = (_unique_pairs(a)[0] for a in (ai, aj, ak))
     exps = (f"exponents i {ai.tolist()}, j {aj.tolist()}, k {ak.tolist()} "
             f"at r={r}")
     U = [_channel(0, Au, Bu, Cu, r, L, quad, exps)]
@@ -153,9 +172,7 @@ def assemble_potential(basis, r, quad=DEFAULT_QUAD):
         m = np.array(angular.CHANNEL_LABELS[channel][:L])
         U.append(sgn * U[0].transpose(axes)[..., m[:, None], m] if reuse
                  else _channel(channel, Au, Bu, Cu, r, L, quad, exps))
-    Uu = U[0] + U[1] + U[2]
-    return _flatten(Uu[ia[:, :, None, None, None, None], ib[:, :, None, None],
-                       ic])
+    return (U[0] + U[1] + U[2]).take(_scatter(len(ai), len(aj), len(ak), L))
 
 
 # --- single-particle (electron-hole pair) problem ---------------------------

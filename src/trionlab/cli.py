@@ -5,6 +5,7 @@ Handlers import the numerics they use and run only on a cache miss.
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import OUTER_ORDER, __version__
@@ -356,6 +357,10 @@ def run(argv, stdout=None):
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(config_argv(argv, args))
+    if args.output and (os.path.isdir(args.output) or not os.path.isdir(
+            os.path.dirname(args.output) or ".")):
+        raise ValueError(f"--output {args.output}: not a file in an "
+                         "existing directory")
     # the cache key holds what the numbers depend on, not how they are
     # written out (cache.config_key adds the package's source digest)
     config = {k: v for k, v in sorted(vars(args).items())
@@ -382,7 +387,7 @@ def run(argv, stdout=None):
 def main(argv=None):
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

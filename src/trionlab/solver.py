@@ -139,10 +139,10 @@ class Family:
     Km are reduced factor by factor (`assembly.axial_matrices`), U0 whole.
 
     The assembled factors (S_ax, K_ax, KM_ax, U0; s_ax, K0, U0) are
-    symmetric bit for bit, and `family` checks it.  `reduced` is
-    symmetric only to rounding, max |M - M^T| / max |M|: trion1d U0
-    1.5e-9, trion2d U0 6.2e-10, Ka and Km <= 8.1e-11, exciton and hf
-    <= 1.1e-14.  Every eigensolve reads its lower triangle.
+    symmetric bit for bit, the axial ones by construction, and `family`
+    checks each.  `reduced` is symmetric only to rounding, max |M - M^T|
+    / max |M|: trion1d U0 1.5e-9, trion2d U0 6.2e-10, Ka and Km <= 8.1e-11,
+    exciton and hf <= 1.1e-14.  Every eigensolve reads its lower triangle.
     """
     basis: BasisSpec        # the basis at r0
     X: np.ndarray           # X0, from `_orthogonalizer`

@@ -7,7 +7,9 @@ from extended-precision finite differences, solves of
 matrices assembled at the radius of each point (the path that the
 families of `trionlab.solver` replaced), the Coulomb kernels as plain
 loops with one angular weight call per channel and label pair, and the
-exchange sectors of a trion basis built by loops.
+exchange sectors of a trion basis built by loops, and the layouts that
+assembly replaced by in-order reads: a fancy-index scatter of the Coulomb
+pair-sum table and a point-major gather of the outer-sum coefficients.
 """
 import numpy as np
 from scipy.integrate import quad
@@ -392,3 +394,34 @@ def loop_repulsion_tensor(alphas, r, n_ang, quad=DEFAULT_QUAD):
                             W = power_corr_weight(la + lb, lc + ld, q)
                             V[a, la, b, lb, :, lc, :, ld] = pref * (W @ wts)
     return V.reshape(N, N, N, N)
+
+
+# --- layouts that assembly replaced by in-order reads -----------------------
+def fancy_scatter(table, ni, nj, nk):
+    """The (N, N) matrix of a (p1, p2, p3, L, L) pair-sum table, row index
+    (i, j, k, l): an 8-D fancy index by the `np.triu_indices` pair number
+    of (i, i'), (j, j') and (k, k'), then a transposed copy."""
+    def pair_number(n):
+        iu, ju = np.triu_indices(n)
+        back = np.empty((n, n), dtype=int)
+        back[iu, ju] = back[ju, iu] = np.arange(len(iu))
+        return back
+    ia, ib, ic = map(pair_number, (ni, nj, nk))
+    T = table[ia[:, :, None, None, None, None], ib[:, :, None, None], ic]
+    N = ni * nj * nk * table.shape[-1]
+    return T.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(N, N)
+
+
+def point_major_outer_sums(profs, t, quad):
+    """`angular.outer_sums` with the coefficient block gathered by a
+    trailing fancy index, which lays it out point-major (not C order)."""
+    x = np.clip((np.log(t) - angular.LN_T[0]) / angular._WIDTH, 0.0,
+                angular._PANELS)
+    k = np.minimum(x.astype(np.intp), angular._PANELS - 1)
+    s2 = 4.0 * (x - k) - 2.0
+    c = np.stack([angular._table(p, quad) for p in profs], axis=1)[:, :, k]
+    assert t.ndim < 2 or not c.flags.c_contiguous
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = ck + s2 * b1 - b2, b1
+    return c[0] + 0.5 * s2 * b1 - b2

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracle_utils import assemble_trion, brute_repulsion_element, \
-    brute_trion_element, loop_potential, loop_repulsion_tensor
-from trionlab import AngularSet, AxialBasis, BasisSpec, angular, \
+    brute_trion_element, fancy_scatter, loop_potential, \
+    loop_repulsion_tensor, point_major_outer_sums
+from trionlab import AngularSet, AxialBasis, BasisSpec, angular, assembly, \
     preset_basis, scale_exponents
 from trionlab.assembly import assemble_exciton, assemble_kinetic, \
     assemble_overlap, assemble_potential, axial_matrices, mixing_weight, \
@@ -33,6 +34,23 @@ KERNEL_BASES = {"trion1d": preset_basis("trion1d"),
                 "chunked": CHUNKED, "ik_equal": IK_EQUAL,
                 "two_labels": TWO_LABELS}
 KERNEL_QUADS = {"default": DEFAULT_QUAD, "refined": DEFAULT_QUAD.refined()}
+PRESETS = ("exciton1d", "exciton2d", "trion1d", "trion2d", "hf1d", "hf2d")
+
+
+def _random_basis(seed):
+    """1-4 exponents per list, log-uniform in [e^-3, e^4]; the list of i
+    is the list of j for a third of the seeds, otherwise all three differ."""
+    rng = np.random.default_rng(seed)
+    al = [tuple(np.exp(rng.uniform(-3.0, 4.0, rng.integers(1, 5))))
+          for _ in range(3)]
+    if seed % 3 == 0:
+        al[1] = al[0]
+    return BasisSpec(AxialBasis(*al), AngularSet.FULL4, "2d")
+
+
+BIT_BASES = {**{name: preset_basis(name) for name in PRESETS},
+             **KERNEL_BASES,
+             **{f"random{seed}": _random_basis(seed) for seed in range(50)}}
 
 
 def _index(basis, i, j, k, l):
@@ -110,6 +128,55 @@ def test_full_matrices_are_kronecker_products_of_axial_factors(name):
         np.testing.assert_array_equal(assemble_overlap(basis), want_S)
         np.testing.assert_array_equal(
             assemble_kinetic(basis, sigma, r, charge), want_K)
+
+
+@pytest.mark.parametrize("name", list(BIT_BASES))
+def test_axial_matrices_equal_the_six_axis_form_bit_for_bit(name):
+    """The triangle-and-mirror factors are `axial_kernels` on the full
+    np.ix_ grid of (i, i', j, j', k, k'), entry for entry, and symmetric."""
+    basis = BIT_BASES[name]
+    ax = basis.axial
+    ai, aj, ak = (np.asarray(a, float)
+                  for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k))
+    S, K1, K2, KM = axial_kernels(*np.ix_(ai, ai, aj, aj, ak, ak))
+    n = ai.size * aj.size * ak.size
+    for got, want in zip(axial_matrices(basis), (S, K1 + K2, KM)):
+        want = want.transpose(0, 2, 4, 1, 3, 5).reshape(n, n)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("name", list(BIT_BASES))
+def test_potential_is_the_fancy_index_scatter_of_its_table(name,
+                                                           monkeypatch):
+    """U is the 8-D fancy-index scatter of its (p1, p2, p3, L, L) pair-sum
+    table bit for bit, and the flat scatter map reads that table in the
+    same order even where it is not symmetric (an arange)."""
+    basis = BIT_BASES[name]
+    ax, L = basis.axial, basis.angular.size
+    ns = [len(a) for a in (ax.alphas_i, ax.alphas_j, ax.alphas_k)]
+    shape = tuple(n * (n + 1) // 2 for n in ns) + (L, L)
+    ramp = np.arange(np.prod(shape)).reshape(shape)
+    np.testing.assert_array_equal(ramp.take(assembly._scatter(*ns, L)),
+                                  fancy_scatter(ramp, *ns))
+    U = assemble_potential(basis, 0.1)
+    monkeypatch.setattr(assembly, "_scatter", lambda *_: ramp)
+    table = assemble_potential(basis, 0.1)      # the table itself
+    assert table.shape == shape
+    np.testing.assert_array_equal(U, fancy_scatter(table, *ns))
+
+
+@pytest.mark.parametrize("quad", list(KERNEL_QUADS))
+def test_outer_sums_do_not_depend_on_the_coefficient_layout(quad):
+    """The C-ordered gather gives the bits of the point-major one, on a
+    trion2d-sized t grid over the whole table and on a flat grid."""
+    q = KERNEL_QUADS[quad]
+    profs = [getattr(angular, name) for name in _PROFILES]
+    rng = np.random.default_rng(27)
+    for shape in ((10, 10, 10), (4, 15, 15, 15), (129,)):
+        t = np.exp(rng.uniform(*angular.LN_T, size=shape))
+        np.testing.assert_array_equal(angular.outer_sums(profs, t, q),
+                                      point_major_outer_sums(profs, t, q))
 
 
 def test_exchange_symmetry_of_matrices():

@@ -387,6 +387,25 @@ def test_cache_dir_that_is_a_file_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, path, message", [
+    ("--config", "missing.cfg", "error: [Errno 2] No such file or directory"),
+    ("--output", "missing-dir/x.csv", "error: --output "),
+    ("--output", "", "error: --output "),
+], ids=["config", "output", "output-is-a-directory"])
+def test_missing_file_is_one_error_line(option, path, message, tmp_path,
+                                        capsys):
+    """A --config that names no file, or an --output in a directory that
+    does not exist or that is a directory, is one error line and exit 1,
+    and nothing is cached: --output is checked before the cache lookup."""
+    cache = tmp_path / "cache"
+    argv = ["exciton", "--radius", "0.1", option, str(tmp_path / path),
+            "--cache-dir", str(cache)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not cache.exists() or os.listdir(cache) == []
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("radius = 0.15   # in effective Bohr radii\nmodel = 1d\n")
