@@ -18,9 +18,6 @@ import sys
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebpts1, chebval
-from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polyval
 
 from .cache import source_digest
 from .quadrature import DEFAULT_QUAD, outer_rule
@@ -69,6 +66,8 @@ _Q_EDGES = np.array([0.0, 2.0, 8.0, 32.0, 200.0])
 @cache     # fitted on first use: the shipped tables need no tail values
 def _fit_tail(deg=24):
     """Centres, half-widths (in sqrt(q)) and coefficients of the panels."""
+    from numpy.polynomial.chebyshev import chebfit, chebpts1
+    from numpy.polynomial.legendre import leggauss
     x, w = leggauss(32)
     u = (np.arange(16)[:, None] + (x + 1.0) / 2.0).ravel() * (np.pi / 32.0)
     f = np.pi / 16.0 * (np.pi - 2.0 * u) * np.cos(u) * np.tile(w, 16)
@@ -91,6 +90,8 @@ def _sincorr_tail(q):
     """sincorr_weight - 2 sin_weight: the Chebyshev panels on q <= 200, the
     asymptotic series on the rest.  Every step is elementwise, so a value
     does not depend on the other points passed with it."""
+    from numpy.polynomial.chebyshev import chebval
+    from numpy.polynomial.polynomial import polyval
     q = np.asarray(q, float)
     mid, half, coefs = _fit_tail()
     panel = np.searchsorted(_Q_EDGES[1:], q)
@@ -225,7 +226,8 @@ def _table(prof, quad):
             c = 2.0 * _table(sin_weight, quad) + _table(_sincorr_tail, quad)
         elif quad == DEFAULT_QUAD and key[0] in _shipped():
             c = _shipped()[key[0]]
-        else:
+        else:   # numpy.polynomial loads only to fit a table
+            from numpy.polynomial.chebyshev import chebfit, chebpts1
             _, wts, sinh2 = outer_rule(quad)
             s = chebpts1(_DEG + 1)
             ln_t = LN_T[0] + _WIDTH * (np.arange(_PANELS)[:, None]

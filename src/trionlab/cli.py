@@ -56,7 +56,7 @@ def parse_chirality(text):
 def _given(args, *options):
     """The `options` given, as keywords: the library defaults the rest."""
     return {o: getattr(args, o) for o in options
-            if getattr(args, o) is not None}
+            if getattr(args, o, None) is not None}
 
 
 def _tb_params(args):
@@ -70,19 +70,19 @@ def _quad(args):
 
 
 def _context(args):
-    """Resolve (r in a_B*, the species' sigma or 0, units or None) from one
-    of --chirality and --radius; --sigma, where taken, overrides sigma."""
-    from . import analysis, units
+    """Resolve (r in a_B*, the species' sigma or 0, Ry* -> meV or None) from
+    one of --chirality and --radius; --sigma, where taken, overrides sigma."""
     if (args.chirality is None) == (args.radius is None):
         raise ValueError("give exactly one of --chirality and --radius")
     if args.radius is not None:
         for opt in _given(args, "epsilon", "t", "s", "a"):
             raise ValueError(f"--{opt} applies to --chirality, not --radius")
         return args.radius, 0.0, None
+    from . import analysis, units
     masses, u, _, r = analysis.species_units(
         parse_chirality(args.chirality),
         units.Environment(**_given(args, "epsilon")), _tb_params(args))
-    return r, masses.sigma, u
+    return r, masses.sigma, lambda e: units.to_physical_energy(e, u) * 1e3
 
 
 # --- subcommand handlers (return metadata, rows) ----------------------------
@@ -112,39 +112,38 @@ def cmd_bands(args):
 
 
 def cmd_exciton(args):
-    from . import solver, units
-    r, _, u = _context(args)
+    from . import solver
+    r, _, mev = _context(args)
     e_x = -solver.exciton_ground(r, args.model, quad=_quad(args))
     row = {"r_aB": r, "model": args.model, "E_X_Ry": e_x}
-    if u is not None:
-        row["E_X_meV"] = units.to_physical_energy(e_x, u) * 1e3
+    if mev:
+        row["E_X_meV"] = mev(e_x)
     return {}, [row]
 
 
 def cmd_trion(args):
-    from . import solver, units
-    r, sigma, u = _context(args)
+    from . import solver
+    r, sigma, mev = _context(args)
     sigma = sigma if args.sigma is None else args.sigma
     res = solver.binding_energy(r, sigma, args.charge, args.model,
                                 quad=_quad(args))
     row = {"r_aB": r, "sigma": sigma, "model": args.model,
            "charge": args.charge, "E_X_Ry": res.E_X, "E_T_Ry": res.E_T,
            "E_B_Ry": res.E_B}
-    if u is not None:
-        row["E_B_meV"] = units.to_physical_energy(res.E_B, u) * 1e3
+    if mev:
+        row["E_B_meV"] = mev(res.E_B)
     return {}, [row]
 
 
 def cmd_hf(args):
     from .hartree_fock import hf_binding_energy
-    from .units import to_physical_energy
-    r, _, u = _context(args)
+    r, _, mev = _context(args)
     res, state = hf_binding_energy(r, args.model, quad=_quad(args))
     row = {"r_aB": r, "model": args.model, "E_X_Ry": res.E_X,
            "E_T_HF_Ry": res.E_T, "E_B_HF_Ry": res.E_B,
            "iterations": state.iterations, "converged": state.converged}
-    if u is not None:
-        row["E_B_HF_meV"] = to_physical_energy(res.E_B, u) * 1e3
+    if mev:
+        row["E_B_HF_meV"] = mev(res.E_B)
     return {"exciton_reference": "exact variational"}, [row]
 
 
@@ -308,7 +307,9 @@ COMMANDS = {   # name: (handler, help, the options the handler reads)
 HANDLERS = {name: entry[0] for name, entry in COMMANDS.items()}
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command; given a `command`, the others are
+    registered by name and help alone, without their options."""
     parser = argparse.ArgumentParser(
         prog="trionlab",
         description="Exciton and trion binding energies of carbon nanotubes")
@@ -316,6 +317,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
         for opt, keywords in {**IO_OPTIONS, **options}.items():
             p.add_argument("--" + opt, **{**SHARED.get(opt, {}), **keywords})
     return parser, sub.choices
@@ -353,10 +356,18 @@ def config_argv(argv, args):
 
 def run(argv, stdout=None):
     stdout = stdout or sys.stdout
-    parser = build_parser()[0]
+    # the command is the first positional: no top-level option takes a value
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), None))[0]
     args = parser.parse_args(argv)
     if args.config:
         args = parser.parse_args(config_argv(argv, args))
+    given = _given(args, "t", "s", "a", "epsilon")
+    if given:   # a spelled-out library default keys the entry of omitting it
+        from . import tightbinding as tb, units
+        defaults = vars(tb.TightBindingParams()) | vars(units.Environment())
+        for opt, value in given.items():
+            if value == defaults[opt]:
+                setattr(args, opt, None)
     if args.output and (os.path.isdir(args.output) or not os.path.isdir(
             os.path.dirname(args.output) or ".")):
         raise ValueError(f"--output {args.output}: not a file in an "

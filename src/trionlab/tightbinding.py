@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 EV_ANGSTROM_PER_HBAR = 1.602176634e-19 * 1e-10 / 1.054571817e-34  # m/s
 
 
@@ -67,26 +65,23 @@ def is_semiconducting(ch):
 def radius(ch, p=DEFAULT_PARAMS):
     """Tube radius in Angstrom: a sqrt(n^2 + nm + m^2) / (2 pi)."""
     n, m = ch.n, ch.m
-    return p.a * np.sqrt(n * n + n * m + m * m) / (2.0 * np.pi)
+    return p.a * math.sqrt(n * n + n * m + m * m) / (2.0 * math.pi)
 
 
 def _lattice(p):
+    import numpy as np   # the band helpers alone use numpy
     a1 = p.a * np.array([np.sqrt(3.0) / 2.0, 0.5])
     a2 = p.a * np.array([np.sqrt(3.0) / 2.0, -0.5])
     B = 2.0 * np.pi * np.linalg.inv(np.array([a1, a2]).T)
     return a1, a2, B[0], B[1]
 
 
-def _w(k, a1, a2):
-    f = 1.0 + np.exp(1j * (k @ a1)) + np.exp(1j * (k @ a2))
-    return np.abs(f)
-
-
 def graphene_band(k, p=DEFAULT_PARAMS, branch="conduction"):
     """Band energy at wavevector(s) k (shape (..., 2), 1/Angstrom)."""
+    import numpy as np
     a1, a2, _, _ = _lattice(p)
     k = np.asarray(k, float)
-    w = _w(k, a1, a2)
+    w = np.abs(1.0 + np.exp(1j * (k @ a1)) + np.exp(1j * (k @ a2)))
     if branch == "conduction":
         return (p.e2p - p.t * w) / (1.0 - p.s * w)
     if branch == "valence":
@@ -104,6 +99,7 @@ def _translation(ch):
 
 def _fold(ch, p):
     """Allowed-line construction: returns (K1, K2hat, N, Tlen)."""
+    import numpy as np
     _, _, b1, b2 = _lattice(p)
     t1, t2, _ = _translation(ch)
     N, Tlen = cutting_lines(ch, p)
@@ -121,6 +117,7 @@ def cutting_lines(ch, p=DEFAULT_PARAMS):
 
 def subband_energies(ch, mu_idx, kpar, p=DEFAULT_PARAMS):
     """Conduction/valence energies along allowed line mu_idx at kpar."""
+    import numpy as np
     K1, K2h, N, _ = _fold(ch, p)
     if not 0 <= mu_idx < N:
         raise ValueError(f"subband index out of range 0..{N - 1}")
@@ -218,12 +215,12 @@ def enumerate_species(r_min, r_max, p=DEFAULT_PARAMS):
 
     Canonical representatives n >= m >= 0; sorted by radius then (n, m).
     """
-    if not (np.isfinite(r_min) and np.isfinite(r_max) and r_min <= r_max):
+    if not (math.isfinite(r_min) and math.isfinite(r_max) and r_min <= r_max):
         raise ValueError("species range needs finite r_min <= r_max, got "
                          f"r_min {r_min}, r_max {r_max}")
     # n^2 + nm + m^2 >= n^2 bounds n by 2 pi r_max / a; the +1 absorbs
     # rounding for a zigzag tube exactly at r_max
-    n_max = int(2.0 * np.pi * r_max / p.a) + 1
+    n_max = int(2.0 * math.pi * r_max / p.a) + 1
     out = []
     for n in range(1, n_max + 1):
         for m in range(0, n + 1):

@@ -9,7 +9,9 @@ import warnings
 import pytest
 
 from trionlab.cache import ResultCache
-from trionlab.cli import build_parser, main, run
+from trionlab import cli
+from trionlab.cli import (COMMANDS, IO_OPTIONS, SHARED, build_parser,
+                          config_argv, main, run)
 
 
 def _run(argv):
@@ -503,6 +505,108 @@ def test_species_defaults_come_from_the_library():
                 if not line.startswith("# config_hash:")]
                for a in (argv, argv + explicit)]
     assert outputs[0] == outputs[1]
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The commands whose handler ran, i.e. the cache misses, in order."""
+    ran = []
+    for name, handler in cli.HANDLERS.items():
+        monkeypatch.setitem(cli.HANDLERS, name, lambda args, h=handler:
+                            ran.append(args.command) or h(args))
+    return ran
+
+
+@pytest.mark.parametrize("plain, default, other", [
+    (["masses", "--chirality", "6,5"], ["--t", "-2.89"], ["--t", "-2.7"]),
+    (["masses", "--chirality", "6,5"], ["--s", "0.1", "--a", "2.46"],
+     ["--a", "2.5"]),
+    (["trion", "--chirality", "6,5"], ["--epsilon", "3.5"],
+     ["--epsilon", "4"]),
+])
+def test_spelled_out_library_default_hits_the_plain_entry(
+        plain, default, other, solves, tmp_path):
+    """A --t, --s, --a or --epsilon equal to its library default keys the
+    entry of omitting it, so that run is a hit; another value is a miss
+    with an entry of its own."""
+    cache = tmp_path / "cache"
+    argv = plain + ["--cache-dir", str(cache)]
+    _, first = _run(argv)
+    _, again = _run(argv + default)
+    assert again == first
+    assert solves == [plain[0]]
+    assert len(os.listdir(cache)) == 1
+    _run(argv + other)
+    assert solves == [plain[0]] * 2
+    assert len(os.listdir(cache)) == 2
+
+
+def _outcome(parser, argv, capsys):
+    """(vars of the namespace or None, exit code, captured out and err) of
+    parsing `argv`."""
+    try:
+        result = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        result = None, exc.code
+    return (*result, capsys.readouterr())
+
+
+def _parse_cases():
+    """Per command: its required options, an unknown option, and a bad
+    value of each option with a type or choices."""
+    required = {"chirality": "6,5", "problem": "exciton"}
+    for name, (_, _, options) in COMMANDS.items():
+        merged = {opt: {**SHARED.get(opt, {}), **keywords}
+                  for opt, keywords in {**IO_OPTIONS, **options}.items()}
+        base = [name] + [a for opt, kw in merged.items() if kw.get("required")
+                         for a in (f"--{opt}", required[opt])]
+        yield base, 0
+        yield base + ["--bogus"], 2
+        yield from ((base + [f"--{opt}", "bogus"], 2)
+                    for opt, kw in merged.items()
+                    if "type" in kw or "choices" in kw)
+
+
+def test_one_subparser_parses_as_the_full_parser(capsys):
+    """`run` adds options to its own command's subparser alone; that parser
+    gives the namespace (and so the cache key), exit code and messages of
+    the parser of every command."""
+    cases = list(_parse_cases())
+    assert len(cases) == 103
+    for argv, code in cases:
+        one = _outcome(build_parser(argv[0])[0], argv, capsys)
+        assert one == _outcome(build_parser()[0], argv, capsys), argv
+        assert one[1] == code, argv
+        assert ("error:" in one[2].err) == bool(code), argv
+
+
+@pytest.mark.parametrize("text", ["radius = 0.1\nsigma = 1\nno-cache = true",
+                                  "model = 3d", "charge = x"])
+def test_config_file_parses_as_with_the_full_parser(text, tmp_path, capsys):
+    """A --config file's lines, put after the command as flags, parse to
+    the same namespace or the same usage error with either parser."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    argv = ["trion", "--config", str(cfg), "--model", "1d"]
+    outcomes = []
+    for parser in (build_parser()[0], build_parser("trion")[0]):
+        args = parser.parse_args(argv)
+        outcomes.append(_outcome(parser, config_argv(argv, args), capsys))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (0 if "sigma" in text else 2)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"],
+                                  ["bogus", "--radius", "0.1"],
+                                  ["--version"], ["trion", "--help"]])
+def test_help_and_unknown_command_print_as_the_full_parser(argv, capsys):
+    """Top-level help, a missing or unknown command and a command's help
+    print through `main` exactly what the parser of every command does."""
+    _, code, printed = _outcome(build_parser()[0], argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == (code, printed)
+    assert printed.out or "error:" in printed.err
 
 
 def test_bands_rows():

@@ -519,9 +519,11 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
     scipy solver; a bare `import trionlab` and a warm cache hit load no
     numerics at all, and a hit loads no package module but `cli` and
     `cache`; cold `bands`, `masses`, `exciton` and `hf` runs load no
-    scipy, and cold `trion` and `sweep-sigma` runs import no scipy module
-    (`solver._lapack` loads the `_flapack` extension alone, and the
-    default quadrature's tables are shipped)."""
+    scipy, `masses` not even numpy, and `exciton` and `hf` at --radius
+    neither `analysis` nor `tightbinding`; cold `trion` and `sweep-sigma`
+    runs import no scipy module (`solver._lapack` loads the `_flapack`
+    extension alone, and the default quadrature's tables are shipped),
+    and no cold run loads `numpy.polynomial`, which only table fits use."""
     code = ("import sys, trionlab.cli, trionlab.solver as s; "
             "assert s.preset_family.cache_info().currsize == 0; "
             "assert 'scipy.optimize' not in sys.modules; "
@@ -542,13 +544,17 @@ def test_nothing_assembled_or_scipy_linalg_loaded_at_import(tmp_path):
                  ["hf", "--radius", "0.3"],
                  ["exciton", "--radius", "0.2", "--model", "1d"]):
         _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
-        assert "numpy" in names
+        assert ("numpy" in names) == (argv[0] != "masses")
         assert _numerics(names, ("scipy",)) == []
+        assert "numpy.polynomial" not in names
+        if "--radius" in argv:
+            assert not names & {"trionlab.analysis", "trionlab.tightbinding"}
     for argv in (["trion", "--chirality", "6,5"],
                  ["sweep-sigma", "--radius", "0.1", "--points", "3",
                   "--model", "1d"]):
         _, names = _imported(["-m", "trionlab.cli", *argv, "--no-cache"])
         assert _numerics(names, ("scipy",)) == []
+        assert "numpy.polynomial" not in names
 
 
 def test_outer_order_default_is_the_quadrature_default():

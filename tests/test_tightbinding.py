@@ -1,9 +1,13 @@
 """Tight-binding bands, zone folding and effective masses."""
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import trionlab
 from oracle_utils import brute_effective_masses, extended_masses
 from trionlab import ChiralIndex, TightBindingParams, effective_masses, \
     enumerate_species, fermi_velocity, is_semiconducting, radius
@@ -294,3 +298,34 @@ def test_enumerate_species_equal_ends_keep_the_species():
     """A one-radius range is valid: it holds the species at that radius."""
     r = radius(ChiralIndex(6, 5))
     assert ChiralIndex(6, 5) in enumerate_species(r, r)
+
+
+@pytest.mark.parametrize("p", PARAM_SETS)
+def test_radius_and_species_equal_the_numpy_forms_bit_for_bit(p):
+    """`radius` and `enumerate_species` compute with `math`: on every
+    species of 3-15 A they agree bit for bit with the numpy formulas they
+    replace (np.sqrt, np.pi, np.isfinite), and radii are Python floats."""
+    n_max = int(2.0 * np.pi * 15.0 / p.a) + 1
+    want = sorted((p.a * np.sqrt(n * n + n * m + m * m) / (2.0 * np.pi), n, m)
+                  for n in range(1, n_max + 1) for m in range(n + 1)
+                  if (n - m) % 3)
+    want = [(r, n, m) for r, n, m in want if 3.0 <= r <= 15.0]
+    for r_min, r_max in ((3.0, 15.0), (np.float64(3.0), np.float64(15.0))):
+        got = enumerate_species(r_min, r_max, p)
+        assert [(c.n, c.m) for c in got] == [(n, m) for _, n, m in want]
+    radii = [radius(c, p) for c in got]
+    assert {type(r) for r in radii} == {float}
+    assert np.array(radii).tobytes() == \
+        np.array([r for r, _, _ in want]).tobytes()
+
+
+def test_species_and_masses_load_no_numpy():
+    """Only the band-structure helpers load numpy: species, radii, band-edge
+    masses and the Fermi velocity run on `math` and `cmath` alone."""
+    code = ("import sys, trionlab.tightbinding as tb; "
+            "[tb.effective_masses(c) for c in tb.enumerate_species(3, 5)]; "
+            "tb.radius(tb.ChiralIndex(6, 5)); tb.fermi_velocity(); "
+            "assert 'numpy' not in sys.modules, 'numpy loaded'")
+    src = os.path.dirname(os.path.dirname(trionlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=src))
