@@ -12,7 +12,7 @@ import numpy as np
 from .quadrature import DEFAULT_QUAD
 from .solver import TrionResult, exciton_ground, family_at
 
-WARMUP_TOL = 1e-2      # |g| at which Newton takes over from damped steps
+ROOTHAAN_STEPS = 1     # undamped Roothaan steps before Newton takes over
 RESIDUAL_TOL = 1e-12   # |g| of a converged orbital
 EPS_TOL = 1e-10        # and the last change of eps0, Ry*
 
@@ -33,28 +33,27 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
     """Self-consistent single-orbital solution at radius r.
 
     Solves F y = eps y, |y| = 1, in the family's retained modes, where
-    F = h + J(y y^T), h = (k/x + u)/x and chi = X0 y / sqrt(x): damped
-    Roothaan steps until |g| = |F y - eps y| < WARMUP_TOL, then Newton
-    steps on [[F + 2K - eps, y], [y^T, 0]] until |g| <= RESIDUAL_TOL and
-    eps moved by less than EPS_TOL, at most max_iter steps.  history holds
-    eps of h alone, then eps = y^T F y of each iterate; eps0, the residual
-    and E_T_HF are those of the returned orbital, converged or not.
-    Raises unless a converged eps is the lowest eigenvalue of its own F.
+    F = h + J, h = (k/x + u)/x, J = T y, T_abc = sum V~0_abcd y_d / x and
+    chi = X0 y / sqrt(x): ROOTHAAN_STEPS undamped Roothaan steps from the
+    lowest orbital of h, then Newton steps on [[F + 2K - eps, y], [y^T, 0]]
+    (K = y^T T by V~0's a <-> b symmetry) until |g| = |F y - eps y| <=
+    RESIDUAL_TOL and eps moved by less than EPS_TOL, at most max_iter steps.
+    history holds eps of h alone, then eps = y^T F y of each iterate; eps0,
+    the residual and E_T_HF are those of the returned orbital, converged or
+    not.  Raises unless a converged eps is the lowest eigenvalue of its F.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     fam, x, bound = family_at("hf", model, r, basis, quad)
     k, u = fam.reduced
     h = (k / x + u) / x
-
-    def field(V, y):
-        return (V @ np.outer(y, y).ravel()).reshape(h.shape) / x
-
+    m = len(h)
     e, v = np.linalg.eigh(h)        # V_H = 0 start: exciton-like orbital
-    y, history, F_damped = v[:, 0], [float(e[0])], None
-    newton, A = False, np.zeros((len(y) + 1,) * 2)   # [[H, y], [y^T, 0]]
+    y, history = v[:, 0], [float(e[0])]
+    A, b = np.zeros((m + 1, m + 1)), np.zeros(m + 1)   # [[H, y], [y^T, 0]]
     for step in range(max_iter + 1):
-        F = h + field(fam.Vj, y)
+        T = fam.V.reshape(m ** 3, m) @ (y / x)
+        F = h + (T.reshape(m * m, m) @ y).reshape(m, m)
         eps = float(y @ F @ y)
         g = F @ y - eps * y
         res = np.linalg.norm(g)
@@ -62,15 +61,15 @@ def scf(r, model="2d", basis=None, max_iter=200, quad=DEFAULT_QUAD):
         converged = res <= RESIDUAL_TOL and abs(eps - history[-2]) < EPS_TOL
         if converged or step == max_iter:
             break
-        newton = newton or res < WARMUP_TOL
-        if newton:
-            A[:-1, :-1] = F + 2.0 * field(fam.Vk, y) - eps * np.eye(len(y))
-            A[:-1, -1] = A[-1, :-1] = y
-            y = y + np.linalg.solve(A, np.append(-g, 0.0))[:-1]
+        if step < ROOTHAAN_STEPS:
+            y = np.linalg.eigh(F)[1][:, 0]
+        else:
+            A[:m, :m] = F + 2.0 * (y @ T.reshape(m, m * m)).reshape(m, m)
+            A[:m, :m].flat[::m + 1] -= eps
+            A[:m, m] = A[m, :m] = y
+            b[:m] = -g
+            y = y + np.linalg.solve(A, b)[:m]
             y /= np.linalg.norm(y)
-        else:                       # the first Roothaan step is undamped
-            F_damped = F if F_damped is None else 0.5 * (F_damped + F)
-            y = np.linalg.eigh(F_damped)[1][:, 0]
     if converged and np.argmin(np.abs(np.linalg.eigvalsh(F) - eps)) != 0:
         raise RuntimeError(f"SCF at r={r} ({model}) converged to an excited "
                            f"orbital: eps0 = {eps:.6g} Ry* is not the lowest "

@@ -130,7 +130,7 @@ class Family:
     X0 v / sqrt(x) (exciton and hf).  The hf family keeps V~0, V4_0 with
     each index reduced by X0 and averaged over its 8-fold symmetry (the
     reduction alone keeps it to about 1e-10 relative on hf2d), as
-    Vj[(a, b), (c, d)] = Vk[(a, c), (b, d)].
+    V[a, b, c, d]; the average makes V symmetric under a <-> b bit for bit.
 
     For a trion basis with exchange symmetry P, X0 spans the exchange-
     symmetric (singlet) sector alone: P commutes with S0, Ka, Km and U0,
@@ -147,14 +147,13 @@ class Family:
     basis: BasisSpec        # the basis at r0
     X: np.ndarray           # X0, from `_orthogonalizer`
     reduced: tuple          # X0^T M X0 for M in (Ka, Km, U0) or (K0, U0)
-    Vj: np.ndarray = None   # V~0 in the (a, b), (c, d) layout (hf only)
-    Vk: np.ndarray = None   # V~0 in the (a, c), (b, d) layout (hf only)
+    V: np.ndarray = None    # V~0[a, b, c, d] (hf only)
 
 
 def family(problem, basis, quad):
     """The Family of `basis` for problem "trion", "exciton" or "hf"."""
     r0 = basis.r0
-    V4 = Vj = Vk = None
+    V4 = None
     if problem == "trion":
         L = basis.angular.size
         S, K, KM, U = checked = (*axial_matrices(basis),
@@ -181,10 +180,8 @@ def family(problem, basis, quad):
         V4 = V4 + V4.transpose(1, 0, 2, 3)    # average over a <-> b,
         V4 = V4 + V4.transpose(0, 1, 3, 2)    # c <-> d and pair exchange
         V4 = (V4 + V4.transpose(2, 3, 0, 1)) / 8.0
-        m2 = X.shape[1] ** 2
-        Vj, Vk = V4.reshape(m2, m2), V4.transpose(0, 2, 1, 3).reshape(m2, m2)
-    fam = Family(basis, X, reduced, Vj, Vk)
-    for M in (X, Vj, Vk, *fam.reduced):
+    fam = Family(basis, X, reduced, V4)
+    for M in (X, V4, *fam.reduced):
         if M is not None:
             M.flags.writeable = False   # a preset family is shared
     return fam
@@ -298,7 +295,10 @@ def _trion(r, sigma, charge, model, basis, quad):
     """(family, x, bound, h) of the trion at one point: h = X0^T H(r) X0."""
     fam, x, bound = family_at("trion", model, r, basis, quad)
     ka, km, u = fam.reduced
-    return fam, x, bound, ka + mixing_weight(sigma, charge) * km + x * u
+    h = km * mixing_weight(sigma, charge)   # ka + w km + x u bit for bit,
+    h += ka                                 # in place
+    h += x * u
+    return fam, x, bound, h
 
 
 # --- front ends -------------------------------------------------------------

@@ -360,6 +360,17 @@ def test_explicit_basis_matches_general_path(r0, r, model):
     _check_scf(scf(r, model, hf), r, hf)
 
 
+@pytest.mark.parametrize("model", ["1d", "2d"])
+def test_scf_of_a_jittered_hf_basis_matches_general_path(model):
+    """The hf preset's exponents each scaled by a seeded factor in
+    [0.7, 1.4], at r = 0.1: the mean field against the oracle's loop."""
+    b = preset_basis("hf" + model)
+    f = np.random.default_rng(29000).uniform(0.7, 1.4, len(b.axial.alphas_i))
+    hf = BasisSpec(AxialBasis(tuple(b.axial.alphas_i * f), b.axial.alphas_j,
+                              b.axial.alphas_k), b.angular, b.model)
+    _check_scf(scf(0.1, model, hf), 0.1, hf)
+
+
 KRONECKER_BASES = {
     **{kind: preset_basis(kind) for kind in (
         "trion1d", "trion2d", "exciton1d", "exciton2d", "hf1d", "hf2d")},

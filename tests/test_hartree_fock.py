@@ -81,19 +81,25 @@ def test_unconverged_scf_reports_a_large_residual():
     assert state.residual > 1e-6
 
 
+def _family_fock(state, r, model):
+    """(y, h, F) of the orbital `scf` returned at a preset point, rebuilt
+    from the family: y in the retained modes, F = h + J(y y^T)."""
+    fam = preset_family("hf" + model, DEFAULT_QUAD)
+    x = r / fam.basis.r0
+    y = np.linalg.lstsq(fam.X, state.orbital_coeffs * np.sqrt(x),
+                        rcond=None)[0]
+    k, u = fam.reduced
+    h = (k / x + u) / x
+    return y, h, h + np.einsum("abcd,c,d->ab", fam.V, y, y) / x
+
+
 def test_unconverged_scf_reports_its_returned_orbital():
     """Stopped after two steps, eps0, the residual and E_T_HF belong to
     the orbital returned: recomputed here from the family."""
     r = 0.2
     state = scf(r, "2d", max_iter=2)
     assert not state.converged
-    fam = preset_family("hf2d", DEFAULT_QUAD)
-    x = r / fam.basis.r0
-    y = np.linalg.lstsq(fam.X, state.orbital_coeffs * np.sqrt(x),
-                        rcond=None)[0]
-    k, u = fam.reduced
-    h = (k / x + u) / x
-    F = h + (fam.Vj @ np.outer(y, y).ravel()).reshape(h.shape) / x
+    y, h, F = _family_fock(state, r, "2d")
     eps = y @ F @ y
     assert state.epsilon0 == pytest.approx(eps, abs=1e-10)
     assert state.residual == pytest.approx(np.linalg.norm(F @ y - eps * y),
@@ -105,15 +111,20 @@ def test_unconverged_scf_reports_its_returned_orbital():
 @pytest.mark.parametrize("kind", ["hf1d", "hf2d"])
 def test_reduced_tensor_keeps_its_eightfold_symmetry(kind):
     """V~0 = X0^T(x)4 V4_0 is unchanged under a <-> b, c <-> d and pair
-    exchange to round-off, and Vk is Vj with the middle indices swapped."""
+    exchange to round-off."""
     fam = preset_family(kind, DEFAULT_QUAD)
-    m = fam.X.shape[1]
-    V = fam.Vj.reshape(m, m, m, m)
+    V = fam.V
     scale = np.abs(V).max()
     for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
         assert np.abs(V - V.transpose(axes)).max() <= 1e-15 * scale, axes
-    np.testing.assert_array_equal(
-        fam.Vk, V.transpose(0, 2, 1, 3).reshape(m * m, m * m))
+
+
+@pytest.mark.parametrize("kind", ["hf1d", "hf2d"])
+def test_reduced_tensor_is_symmetric_under_a_b_bit_for_bit(kind):
+    """scf takes J and the Newton term K from one contraction over d, as
+    sum_c and sum_a of it; K needs V~0_abcd = V~0_bacd exactly."""
+    V = preset_family(kind, DEFAULT_QUAD).V
+    np.testing.assert_array_equal(V, V.transpose(1, 0, 2, 3))
 
 
 def test_scf_deterministic():
@@ -152,11 +163,25 @@ def test_scf_orbital_is_aufbau(r, model):
         solve_generalized(F, t.S).energies[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("model", ["1d", "2d"])
+@pytest.mark.parametrize("r", [0.02, 0.1, 0.3, 1.0, 3.0])
+def test_scf_converges_to_the_aufbau_orbital_in_eight_steps(r, model):
+    """One Roothaan step, then Newton: at most 8 iterations over the
+    presets' radii, and eps0 is the lowest eigenvalue of the Fock matrix
+    of the returned orbital, rebuilt from the family."""
+    state = scf(r, model)
+    assert state.converged
+    assert state.iterations <= 8
+    _, _, F = _family_fock(state, r, model)
+    assert state.epsilon0 == pytest.approx(np.linalg.eigvalsh(F)[0],
+                                           abs=1e-10)
+
+
 def test_scf_rejects_an_excited_fixed_point(monkeypatch):
-    """Newton from the exciton orbital, with no damped warm-up, ends on a
+    """Newton from the exciton orbital, with no Roothaan step, ends on a
     stationary orbital that is not the lowest of its Fock matrix at 2D,
     r = 0.1; scf raises rather than report it."""
-    monkeypatch.setattr(hartree_fock, "WARMUP_TOL", np.inf)
+    monkeypatch.setattr(hartree_fock, "ROOTHAAN_STEPS", 0)
     with pytest.raises(RuntimeError, match="converged to an excited orbital"):
         scf(0.1, "2d")
 
